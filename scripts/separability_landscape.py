@@ -4,16 +4,15 @@ Classifies the analytic joint distribution over an (epsilon, theta) grid
 and prints a compact character map per epsilon row: 'S' where the two
 one-sided tests are separated, 'c' where they are merely compatible,
 'x' where no joint experiment recovers the marginals at all (epsilon=0
-with positive overlap). Optionally dumps the full grid as CSV.
+with positive overlap). For the full grid as CSV or JSON under the
+published schema, use ``esphere scan --output``.
 
 Usage:
     python scripts/separability_landscape.py [--epsilons 0,0.25,0.5,0.75,1] \
-        [--theta-points 61] [--output landscape.csv]
+        [--theta-points 61]
 """
 
 import argparse
-import csv
-import dataclasses
 import math
 import sys
 
@@ -28,26 +27,17 @@ def main() -> int:
         "--epsilons", default="0,0.25,0.5,0.75,1", help="comma-separated elastic half-lengths"
     )
     parser.add_argument("--theta-points", type=int, default=61, help="grid size on [0, pi]")
-    parser.add_argument("--output", default=None, help="write the full grid as CSV here")
     args = parser.parse_args()
 
     epsilons = [float(tok) for tok in args.epsilons.split(",")]
     thetas = [float(t) for t in np.linspace(0.0, math.pi, args.theta_points)]
     rows = scan(epsilons, thetas)
 
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f.name for f in dataclasses.fields(rows[0])])
-            writer.writerows(dataclasses.astuple(r) for r in rows)
-        print(f"wrote {len(rows)} rows to {args.output}")
-        return 0
-
     print(f"theta runs 0 .. pi left to right ({args.theta_points} points)")
     for i, eps in enumerate(epsilons):
         chunk = rows[i * len(thetas) : (i + 1) * len(thetas)]
         line = "".join(
-            "S" if r.separated else ("c" if r.compatible else "x") for r in chunk
+            "S" if r["separated"] else ("c" if r["compatible"] else "x") for r in chunk
         )
         print(f"epsilon {eps:5.2f}  {line}")
     print("\nS separated   c compatible only   x not compatible")

@@ -46,7 +46,6 @@ from .sphere import (
 )
 from .singlet import (
     BLOCK_TRIALS,
-    CoupledState,
     JointOutcome,
     JointTestSpec,
     MeasurementOrder,
@@ -60,8 +59,8 @@ from .analysis import (
     CANONICAL_CHSH_ANGLES,
     ChshResult,
     ChshSetup,
-    ScanRow,
     chsh,
+    classification_row,
     correlation,
     correlation_closed_form,
     scan,
@@ -77,7 +76,6 @@ __all__ = [
     "ChshResult",
     "ChshSetup",
     "ClassificationReport",
-    "CoupledState",
     "DensityMatrix",
     "Direction",
     "ExperimentTriple",
@@ -86,7 +84,6 @@ __all__ = [
     "JointTestSpec",
     "MeasurementOutcome",
     "OutcomeProb",
-    "ScanRow",
     "Spinor",
     "MeasurementOrder",
     "Tolerance",
@@ -96,6 +93,7 @@ __all__ = [
     "check_product_criterion",
     "check_separability",
     "chsh",
+    "classification_row",
     "classify",
     "compatibility_residuals",
     "correlation",

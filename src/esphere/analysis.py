@@ -28,7 +28,7 @@ from .operational import (
 )
 from .singlet import experiment_triple, joint_distribution_analytic
 from .sphere import Direction
-from .validation import ValidationError, check_epsilon, check_finite
+from .validation import check_epsilon, check_polar_angle
 
 # Coplanar polar angles (left pair, right pair) realizing both extremes of
 # the CHSH law: 2*sqrt(2) at epsilon = 1 and 4 at epsilon = 0.
@@ -116,62 +116,47 @@ def chsh(setup: ChshSetup) -> ChshResult:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRow:
-    """One grid point of the (epsilon, theta) classification landscape.
+def classification_row(
+    epsilon: float, theta: float, u1: Direction, u2: Direction, tol: Tolerance | float = DEFAULT_TOLERANCE
+) -> dict[str, object]:
+    """One landscape point, keyed in the published ``scan``/``classify`` column order.
 
-    Field order fixes the CSV column order emitted by the command line;
-    ``correlation`` is rendered under the header ``E``.
+    ``theta`` is the relative angle of u1 and u2, recorded as given.
     """
-
-    epsilon: float
-    theta: float
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-    correlation: float
-    compatible: bool
-    separated: bool
-    classical_joint: bool
+    triple = experiment_triple(u1, u2, epsilon)
+    report = classify(triple, tol)
+    j = triple.joint
+    return {
+        "epsilon": epsilon,
+        "theta": theta,
+        "p1": j.p1,
+        "p2": j.p2,
+        "p3": j.p3,
+        "p4": j.p4,
+        "E": (j.p1 + j.p4) - (j.p2 + j.p3),
+        "compatible": report.compatible,
+        "separated": report.separated,
+        "classical_joint": report.classical_joint,
+    }
 
 
 def scan(
     epsilons: list[float],
     thetas: list[float],
     tol: Tolerance | float = DEFAULT_TOLERANCE,
-) -> list[ScanRow]:
+) -> list[dict[str, object]]:
     """Classify the singlet joint test over an (epsilon, theta) grid.
 
     Directions are placed in a common plane, separated by the relative
     angle theta; only that angle matters for the singlet statistics. Rows
-    are emitted in grid order, epsilon outermost.
+    are :func:`classification_row` dicts in grid order, epsilon outermost.
     """
     epsilons = [check_epsilon(e) for e in epsilons]
-    thetas = [check_finite(t, "theta") for t in thetas]
-    for t in thetas:
-        if t < 0.0 or t > math.pi:
-            raise ValidationError(f"theta grid values must lie in [0, pi], got {t}")
-    rows: list[ScanRow] = []
+    thetas = [check_polar_angle(t) for t in thetas]
     pole = Direction.from_angles(0.0)
-    for eps in epsilons:
-        for theta in thetas:
-            u2 = Direction.from_angles(theta)
-            triple = experiment_triple(pole, u2, eps)
-            report = classify(triple, tol)
-            j = triple.joint
-            rows.append(
-                ScanRow(
-                    epsilon=eps,
-                    theta=theta,
-                    p1=j.p1,
-                    p2=j.p2,
-                    p3=j.p3,
-                    p4=j.p4,
-                    correlation=(j.p1 + j.p4) - (j.p2 + j.p3),
-                    compatible=report.compatible,
-                    separated=report.separated,
-                    classical_joint=report.classical_joint,
-                )
-            )
-    return rows
+    axes = [Direction.from_angles(t) for t in thetas]
+    return [
+        classification_row(eps, theta, pole, u2, tol)
+        for eps in epsilons
+        for theta, u2 in zip(thetas, axes)
+    ]

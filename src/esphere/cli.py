@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -29,21 +28,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import CANONICAL_CHSH_ANGLES, ChshSetup, chsh, scan
+from .analysis import CANONICAL_CHSH_ANGLES, ChshSetup, chsh, classification_row, scan
 from .operational import Tolerance, classify, vessels_scenario
 from .singlet import (
     JointTestSpec,
     MeasurementOrder,
-    experiment_triple,
     joint_distribution_analytic,
     simulate,
 )
 from .sphere import BlochState, Direction, outcome_probability
-from .validation import ValidationError
+from .validation import ValidationError, check_grid_size
 
 Row = dict[str, object]
-
-SCAN_HEADERS = {"correlation": "E"}
 
 
 def _format_value(value: object) -> str:
@@ -154,23 +150,7 @@ def cmd_simulate(args: argparse.Namespace) -> list[Row]:
 
 def cmd_classify(args: argparse.Namespace) -> list[Row]:
     u1, u2, theta = _resolve_pair(args)
-    triple = experiment_triple(u1, u2, args.epsilon)
-    report = classify(triple, Tolerance(args.tolerance))
-    j = triple.joint
-    return [
-        {
-            "epsilon": args.epsilon,
-            "theta": theta,
-            "p1": j.p1,
-            "p2": j.p2,
-            "p3": j.p3,
-            "p4": j.p4,
-            "E": (j.p1 + j.p4) - (j.p2 + j.p3),
-            "compatible": report.compatible,
-            "separated": report.separated,
-            "classical_joint": report.classical_joint,
-        }
-    ]
+    return [classification_row(args.epsilon, theta, u1, u2, Tolerance(args.tolerance))]
 
 
 def cmd_chsh(args: argparse.Namespace) -> list[Row]:
@@ -195,15 +175,13 @@ def cmd_scan(args: argparse.Namespace) -> list[Row]:
         thetas = _parse_float_list(args.thetas, "--thetas")
         if not thetas:
             raise ValidationError("--thetas must name at least one value")
+        check_grid_size(len(epsilons), len(thetas))
     else:
         if args.theta_points < 1:
             raise ValidationError(f"--theta-points must be >= 1, got {args.theta_points}")
+        check_grid_size(len(epsilons), args.theta_points)
         thetas = np.linspace(0.0, math.pi, args.theta_points).tolist()
-    rows = scan(epsilons, thetas, Tolerance(args.tolerance))
-    return [
-        {SCAN_HEADERS.get(key, key): value for key, value in dataclasses.asdict(row).items()}
-        for row in rows
-    ]
+    return scan(epsilons, thetas, Tolerance(args.tolerance))
 
 
 def cmd_vessels(args: argparse.Namespace) -> list[Row]:

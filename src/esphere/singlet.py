@@ -74,24 +74,6 @@ class JointOutcome(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class CoupledState:
-    """Pair of sphere states plus the rod that correlates them."""
-
-    left: BlochState
-    right: BlochState
-    rod_engaged: bool
-
-    @classmethod
-    def singlet(cls) -> "CoupledState":
-        """Both particles at their sphere centers, rod engaged."""
-        return cls(left=BlochState.center(), right=BlochState.center(), rod_engaged=True)
-
-    @property
-    def is_singlet(self) -> bool:
-        return self.rod_engaged and self.left.norm() == 0.0 and self.right.norm() == 0.0
-
-
-@dataclass(frozen=True, slots=True)
 class JointTestSpec:
     """A joint test: one direction per side, one elastic length, an order."""
 
@@ -144,23 +126,14 @@ def joint_distribution_analytic(u1: Direction, u2: Direction, epsilon: float) ->
     return JointOutcomeProb(p_same, p_diff, p_diff, p_same)
 
 
-def run_joint_trial(
-    spec: JointTestSpec,
-    rng: np.random.Generator,
-    state: CoupledState | None = None,
-) -> TrialRecord:
+def run_joint_trial(spec: JointTestSpec, rng: np.random.Generator) -> TrialRecord:
     """Sample one sequential joint test on the singlet preparation.
 
-    The first side collapses under its elastic measurement; the rod drags
-    the other particle to the diametrically opposite surface point and
+    Both particles start at their sphere centers, joined by the rod. The
+    first side collapses under its elastic measurement; the rod drags the
+    other particle to the diametrically opposite surface point and
     disengages; the second side is then an ordinary single-sphere trial.
-    Only the singlet preparation is accepted: the rod dynamics are defined
-    for nothing else.
     """
-    if state is None:
-        state = CoupledState.singlet()
-    if not state.is_singlet:
-        raise ValidationError("joint trials are defined only for the singlet preparation")
     if spec.order is MeasurementOrder.LEFT_FIRST:
         first_dir, second_dir = spec.u1, spec.u2
     else:

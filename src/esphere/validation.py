@@ -16,6 +16,10 @@ PROB_ATOL = 1e-9
 # Geometric tolerance for unit-norm checks on directions and pure states.
 UNIT_ATOL = 1e-12
 
+# Largest (epsilon, theta) grid a scan accepts: about ten times the
+# 101 x 1001 landscape, a few GB of rows at most.
+MAX_GRID_POINTS = 1_000_000
+
 
 class ValidationError(ValueError):
     """An input violates its documented contract."""
@@ -75,3 +79,10 @@ def check_seed(seed: int) -> int:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def check_grid_size(n_epsilons: int, n_thetas: int) -> None:
+    """Refuse a scan grid above :data:`MAX_GRID_POINTS` before it is built."""
+    points = n_epsilons * n_thetas
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(f"scan grid of {points} points exceeds the limit of {MAX_GRID_POINTS}")

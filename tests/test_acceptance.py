@@ -170,15 +170,15 @@ def test_criterion_4_separability_landscape():
 
     rows = scan([0.25, 0.5, 0.75, 1.0], thetas, tol)
     for i, row in enumerate(rows):
-        assert row.compatible, (row.epsilon, row.theta)
+        assert row["compatible"], (row["epsilon"], row["theta"])
         # Column 90 is the orthogonal midpoint of the 181-point grid.
-        assert row.separated == (i % 181 == 90), (row.epsilon, row.theta)
+        assert row["separated"] == (i % 181 == 90), (row["epsilon"], row["theta"])
 
     pole = Direction.from_angles(0.0)
     for row in scan([0.0], thetas, tol):
-        expected = pole.dot(Direction.from_angles(row.theta)) <= 0.0
-        assert row.compatible == expected, row.theta
-        assert row.separated == expected, row.theta
+        expected = pole.dot(Direction.from_angles(row["theta"])) <= 0.0
+        assert row["compatible"] == expected, row["theta"]
+        assert row["separated"] == expected, row["theta"]
 
     assert time.perf_counter() - start < 1.0
 

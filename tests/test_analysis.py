@@ -145,65 +145,65 @@ class TestScan:
         theta_grid = [0.0, math.pi / 2.0, math.pi]
         rows = scan(eps_grid, theta_grid)
         assert len(rows) == 6
-        assert [r.epsilon for r in rows] == [0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
-        assert [r.theta for r in rows] == theta_grid * 2
+        assert [r["epsilon"] for r in rows] == [0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
+        assert [r["theta"] for r in rows] == theta_grid * 2
 
     def test_rows_match_direct_classification(self):
         pole = Direction.from_angles(0.0)
         for row in scan([0.25, 1.0], list(np.linspace(0.0, math.pi, 13))):
-            u2 = Direction.from_angles(row.theta)
-            triple = experiment_triple(pole, u2, row.epsilon)
+            u2 = Direction.from_angles(row["theta"])
+            triple = experiment_triple(pole, u2, row["epsilon"])
             report = classify(triple)
             j = triple.joint
-            assert (row.p1, row.p2, row.p3, row.p4) == j.as_tuple()
-            assert row.correlation == (j.p1 + j.p4) - (j.p2 + j.p3)
-            assert row.compatible == report.compatible
-            assert row.separated == report.separated
-            assert row.classical_joint == report.classical_joint
+            assert (row["p1"], row["p2"], row["p3"], row["p4"]) == j.as_tuple()
+            assert row["E"] == (j.p1 + j.p4) - (j.p2 + j.p3)
+            assert row["compatible"] == report.compatible
+            assert row["separated"] == report.separated
+            assert row["classical_joint"] == report.classical_joint
 
     def test_positive_epsilon_landscape(self):
         thetas = list(np.linspace(0.0, math.pi, 181))
         rows = scan([0.25, 0.5, 0.75, 1.0], thetas)
         for i, row in enumerate(rows):
-            assert row.compatible
-            assert not row.classical_joint
+            assert row["compatible"]
+            assert not row["classical_joint"]
             # The separability residual is |c| / 4: far above tolerance
             # everywhere except the orthogonal midpoint, where the
             # floating-point cosine is ~1e-17.
             at_midpoint = i % len(thetas) == 90
-            assert row.separated == at_midpoint, (row.epsilon, row.theta)
+            assert row["separated"] == at_midpoint, (row["epsilon"], row["theta"])
 
     def test_orthogonal_column_is_separated(self):
         rows = scan([0.25, 0.5, 0.75, 1.0], [0.0, math.pi / 2.0, math.pi])
         for r in rows:
-            assert r.compatible
-            assert r.separated == (r.theta == math.pi / 2.0), (r.epsilon, r.theta)
+            assert r["compatible"]
+            assert r["separated"] == (r["theta"] == math.pi / 2.0), (r["epsilon"], r["theta"])
 
     def test_zero_epsilon_landscape(self):
         thetas = list(np.linspace(0.0, math.pi, 181))
         rows = scan([0.0], thetas)
         pole = Direction.from_angles(0.0)
         for row in rows:
-            c = pole.dot(Direction.from_angles(row.theta))
+            c = pole.dot(Direction.from_angles(row["theta"]))
             expected = c <= 0.0
-            assert row.compatible == expected
-            assert row.separated == expected
-            assert row.classical_joint  # point mass either way
+            assert row["compatible"] == expected
+            assert row["separated"] == expected
+            assert row["classical_joint"]  # point mass either way
 
     def test_band_boundary_row(self):
         rows = scan([0.5], [math.pi / 3.0])
         (row,) = rows
-        assert (row.p1, row.p2, row.p3, row.p4) == (0.0, 0.5, 0.5, 0.0)
-        assert row.compatible
-        assert not row.separated
-        assert row.correlation == -1.0
+        assert (row["p1"], row["p2"], row["p3"], row["p4"]) == (0.0, 0.5, 0.5, 0.0)
+        assert row["compatible"]
+        assert not row["separated"]
+        assert row["E"] == -1.0
 
     def test_tolerance_is_configurable(self):
         # Residual |c| / 4 ~ 0.0025 here: above the default tolerance,
         # below a loose one.
         theta = math.pi / 2.0 + 0.01
-        assert not scan([1.0], [theta])[0].separated
-        assert scan([1.0], [theta], tol=Tolerance(eps_prob=1e-2))[0].separated
+        assert not scan([1.0], [theta])[0]["separated"]
+        assert scan([1.0], [theta], tol=Tolerance(eps_prob=1e-2))[0]["separated"]
 
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValidationError):
@@ -224,4 +224,4 @@ class TestScanRowCorrelationIdentity:
     @settings(max_examples=50)
     def test_correlation_equals_outcome_combination(self, epsilon, theta):
         (row,) = scan([epsilon], [theta])
-        assert row.correlation == (row.p1 + row.p4) - (row.p2 + row.p3)
+        assert row["E"] == (row["p1"] + row["p4"]) - (row["p2"] + row["p3"])

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from esphere import Direction, JointOutcomeProb, cli, joint_distribution_analytic
+from esphere import Direction, JointOutcomeProb, ValidationError, cli, joint_distribution_analytic, validation
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +212,29 @@ class TestClassify:
         header = out.splitlines()[0]
         assert header == "epsilon,theta,p1,p2,p3,p4,E,compatible,separated,classical_joint"
 
+    @pytest.mark.parametrize(
+        "epsilon, theta, tolerance",
+        [
+            ("0.5", "1.3", None),  # inside the band
+            ("0.5", repr(math.pi / 3.0), None),  # c = epsilon: the band edge
+            ("0", "2.0", None),
+            ("1", "1.5707963", "1e-7"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_row_matches_scan_row(self, capsys, epsilon, theta, tolerance, fmt):
+        extra = [] if tolerance is None else ["--tolerance", tolerance]
+        _, one, _ = run_cli(
+            capsys, "classify", "--epsilon", epsilon, "--theta", theta, *extra, "--format", fmt
+        )
+        _, grid, _ = run_cli(
+            capsys, "scan", "--epsilons", epsilon, "--thetas", theta, *extra, "--format", fmt
+        )
+        if fmt == "csv":
+            assert one.splitlines()[1] == grid.splitlines()[1]
+        else:
+            assert one[one.index('"rows"'):] == grid[grid.index('"rows"'):]
+
 
 class TestChsh:
     def test_unit_epsilon_quantum_value(self, capsys):
@@ -253,11 +276,11 @@ class TestScan:
 
         expected = scan_fn([0.5, 1.0], [i * math.pi / 4.0 for i in range(5)])
         for got, want in zip(rows, expected):
-            assert float(got["epsilon"]) == want.epsilon
-            assert float(got["theta"]) == want.theta
-            assert float(got["p1"]) == want.p1
-            assert float(got["E"]) == want.correlation
-            assert got["separated"] == ("true" if want.separated else "false")
+            assert float(got["epsilon"]) == want["epsilon"]
+            assert float(got["theta"]) == want["theta"]
+            assert float(got["p1"]) == want["p1"]
+            assert float(got["E"]) == want["E"]
+            assert got["separated"] == ("true" if want["separated"] else "false")
 
     def test_explicit_theta_list(self, capsys):
         code, out, _ = run_cli(
@@ -314,6 +337,44 @@ class TestScan:
         )
         assert code == 2
         assert "error:" in err
+
+
+class TestScanGridCeiling:
+    def test_accepts_grid_at_the_limit(self):
+        validation.check_grid_size(1000, 1000)
+        validation.check_grid_size(1, validation.MAX_GRID_POINTS)
+
+    @pytest.mark.parametrize(
+        "n_epsilons, n_thetas", [(1000, 1001), (1, 1_000_000_001), (101, 1_000_000_000), (10**12, 10**12)]
+    )
+    def test_rejects_grid_above_the_limit(self, n_epsilons, n_thetas):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            validation.check_grid_size(n_epsilons, n_thetas)
+
+    def test_cli_refuses_theta_points_before_building_the_grid(self, capsys, monkeypatch):
+        monkeypatch.setattr(validation, "MAX_GRID_POINTS", 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the theta grid was built before the size check")
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        code, out, err = run_cli(capsys, "scan", "--epsilons", "0.5,1.0", "--theta-points", "3")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit of 5" in err
+
+    def test_cli_refuses_explicit_theta_list(self, capsys, monkeypatch):
+        monkeypatch.setattr(validation, "MAX_GRID_POINTS", 5)
+        code, out, err = run_cli(capsys, "scan", "--epsilons", "0.5,1.0", "--thetas", "0,1,2")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit of 5" in err
+
+    def test_cli_accepts_grid_at_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(validation, "MAX_GRID_POINTS", 6)
+        code, out, _ = run_cli(capsys, "scan", "--epsilons", "0.5,1.0", "--theta-points", "3")
+        assert code == 0
+        assert len(parse_csv(out)) == 6
 
 
 class TestVessels:

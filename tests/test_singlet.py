@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from esphere import (
     BLOCK_TRIALS,
     BlochState,
-    CoupledState,
     Direction,
     JointOutcome,
     JointTestSpec,
@@ -61,19 +60,6 @@ class TestJointOutcome:
         for i, outcome in enumerate((JointOutcome.X1, JointOutcome.X2, JointOutcome.X3, JointOutcome.X4)):
             assert outcome.index == i
             assert JointOutcome.from_answers(outcome.left_yes, outcome.right_yes) is outcome
-
-
-class TestCoupledState:
-    def test_singlet_preparation(self) -> None:
-        prepared = CoupledState.singlet()
-        assert prepared.is_singlet
-        assert prepared.rod_engaged
-
-    def test_displaced_pair_is_not_singlet(self) -> None:
-        displaced = CoupledState(
-            left=BlochState.from_direction(Z_AXIS), right=BlochState.center(), rod_engaged=True
-        )
-        assert not displaced.is_singlet
 
 
 class TestJointTestSpec:
@@ -144,14 +130,6 @@ class TestAnalyticDistribution:
 
 
 class TestRunJointTrial:
-    def test_rejects_non_singlet_preparation(self) -> None:
-        spec = JointTestSpec(u1=Z_AXIS, u2=X_AXIS, epsilon=1.0)
-        moved = CoupledState(
-            left=BlochState.from_direction(Z_AXIS), right=BlochState.center(), rod_engaged=True
-        )
-        with pytest.raises(ValidationError):
-            run_joint_trial(spec, np.random.default_rng(0), state=moved)
-
     def test_aligned_quantum_trials_never_agree(self) -> None:
         spec = JointTestSpec(u1=Z_AXIS, u2=Z_AXIS, epsilon=1.0)
         rng = np.random.default_rng(5)
