@@ -2,14 +2,15 @@
 
 Prints S(epsilon) at the canonical coplanar settings next to the closed
 form min(4, 2*sqrt(2)/epsilon), marking where the curve leaves the
-algebraic ceiling and where it lands on the quantum value.
+algebraic ceiling and where it lands on the quantum value. For one
+epsilon in the published CSV/JSON schema, use
+``esphere chsh --epsilon E [--format json]``.
 
 Usage:
-    python scripts/chsh_vs_epsilon.py [--points 21] [--output chsh.csv]
+    python scripts/chsh_vs_epsilon.py [--points 21]
 """
 
 import argparse
-import csv
 import math
 import sys
 
@@ -21,27 +22,14 @@ from esphere import ChshSetup, chsh
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points", type=int, default=21, help="grid size on [0, 1]")
-    parser.add_argument("--output", default=None, help="write CSV here instead of a table")
     args = parser.parse_args()
 
-    rows = []
+    threshold = math.sqrt(2.0) / 2.0
+    print(f"{'epsilon':>8}  {'S':>10}  {'closed form':>11}")
     for eps in np.linspace(0.0, 1.0, args.points):
         eps = float(eps)
         s = chsh(ChshSetup.coplanar(eps)).s
         law = 4.0 if eps == 0.0 else min(4.0, 2.0 * math.sqrt(2.0) / eps)
-        rows.append((eps, s, law))
-
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epsilon", "s", "closed_form"])
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {args.output}")
-        return 0
-
-    threshold = math.sqrt(2.0) / 2.0
-    print(f"{'epsilon':>8}  {'S':>10}  {'closed form':>11}")
-    for eps, s, law in rows:
         note = ""
         if eps <= threshold:
             note = "  (ceiling)"

@@ -62,7 +62,6 @@ from .analysis import (
     chsh,
     classification_row,
     correlation,
-    correlation_closed_form,
     scan,
 )
 from .validation import ValidationError
@@ -97,7 +96,6 @@ __all__ = [
     "classify",
     "compatibility_residuals",
     "correlation",
-    "correlation_closed_form",
     "experiment_triple",
     "from_density_matrix",
     "is_classical_joint",

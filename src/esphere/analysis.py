@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .operational import (
     DEFAULT_TOLERANCE,
+    JointOutcomeProb,
     Tolerance,
     classify,
 )
@@ -35,23 +36,14 @@ from .validation import check_epsilon, check_polar_angle
 CANONICAL_CHSH_ANGLES = (0.0, 0.5 * math.pi, 0.25 * math.pi, 0.75 * math.pi)
 
 
-def correlation(u1: Direction, u2: Direction, epsilon: float) -> float:
-    """E = p1 + p4 - p2 - p3 of the analytic singlet joint distribution."""
-    j = joint_distribution_analytic(u1, u2, epsilon)
+def _expectation(j: JointOutcomeProb) -> float:
+    """E of a joint distribution; this summation order fixes the printed bits."""
     return (j.p1 + j.p4) - (j.p2 + j.p3)
 
 
-def correlation_closed_form(u1: Direction, u2: Direction, epsilon: float) -> float:
-    """The same correlation law written without the four-outcome detour.
-
-    Kept separate from :func:`correlation` on purpose: the two routes are
-    independent derivations and are checked against each other in tests.
-    """
-    epsilon = check_epsilon(epsilon)
-    c = u1.dot(u2)
-    if epsilon == 0.0:
-        return 1.0 if c <= 0.0 else -1.0
-    return max(-1.0, min(1.0, -c / epsilon))
+def correlation(u1: Direction, u2: Direction, epsilon: float) -> float:
+    """E = p1 + p4 - p2 - p3 of the analytic singlet joint distribution."""
+    return _expectation(joint_distribution_analytic(u1, u2, epsilon))
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +125,7 @@ def classification_row(
         "p2": j.p2,
         "p3": j.p3,
         "p4": j.p4,
-        "E": (j.p1 + j.p4) - (j.p2 + j.p3),
+        "E": _expectation(j),
         "compatible": report.compatible,
         "separated": report.separated,
         "classical_joint": report.classical_joint,

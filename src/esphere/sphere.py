@@ -258,9 +258,8 @@ def outcome_probability(s: BlochState, u: Direction, epsilon: float) -> OutcomeP
     """
     epsilon = check_epsilon(epsilon)
     a = projection(s, u)
-    if epsilon == 0.0:
-        p_yes = 1.0 if a >= 0.0 else 0.0
-    elif a >= epsilon:
+    # At epsilon = 0 this first clamp is the tie rule: a >= 0 answers yes.
+    if a >= epsilon:
         p_yes = 1.0
     elif a <= -epsilon:
         p_yes = 0.0
@@ -277,13 +276,14 @@ def sample_measurement(
     Draws the break point uniformly from ``[-epsilon, epsilon]`` (skipping
     the draw when the outcome is already certain), answers *yes* exactly
     when the break point is at or below the projection, and returns the
-    collapsed surface state: ``+u`` on yes, ``-u`` on no.
+    collapsed surface state: ``+u`` on yes, ``-u`` on no. At
+    ``epsilon = 0`` every outcome is certain and follows the sign of the
+    projection, the tie going to *yes*.
     """
     epsilon = check_epsilon(epsilon)
     a = projection(s, u)
-    if epsilon == 0.0:
-        yes = a >= 0.0
-    elif abs(a) >= epsilon:
+    # At epsilon = 0 every a is certain and this is the tie rule: a >= 0 answers yes.
+    if abs(a) >= epsilon:
         yes = a >= epsilon
     else:
         lam = rng.uniform(-epsilon, epsilon)

@@ -32,9 +32,9 @@ def check_finite(x: float, name: str) -> float:
     return x
 
 
-def check_probability(p: float, name: str, atol: float = PROB_ATOL) -> float:
+def check_probability(p: float, name: str) -> float:
     p = check_finite(p, name)
-    if p < -atol or p > 1.0 + atol:
+    if p < -PROB_ATOL or p > 1.0 + PROB_ATOL:
         raise ValidationError(f"{name} must lie in [0, 1], got {p}")
     return p
 
@@ -46,22 +46,22 @@ def check_epsilon(epsilon: float) -> float:
     return eps
 
 
-def check_unit_interval_sum(total: float, name: str, atol: float = PROB_ATOL) -> None:
-    if abs(total - 1.0) > atol:
+def check_unit_interval_sum(total: float, name: str) -> None:
+    if abs(total - 1.0) > PROB_ATOL:
         raise ValidationError(f"{name} must sum to 1, got {total}")
 
 
-def check_polar_angle(theta: float, name: str = "theta") -> float:
-    theta = check_finite(theta, name)
+def check_polar_angle(theta: float) -> float:
+    theta = check_finite(theta, "theta")
     if theta < 0.0 or theta > math.pi:
-        raise ValidationError(f"{name} must lie in [0, pi] radians, got {theta}")
+        raise ValidationError(f"theta must lie in [0, pi] radians, got {theta}")
     return theta
 
 
-def check_azimuthal_angle(phi: float, name: str = "phi") -> float:
-    phi = check_finite(phi, name)
+def check_azimuthal_angle(phi: float) -> float:
+    phi = check_finite(phi, "phi")
     if phi < 0.0 or phi >= 2.0 * math.pi:
-        raise ValidationError(f"{name} must lie in [0, 2*pi) radians, got {phi}")
+        raise ValidationError(f"phi must lie in [0, 2*pi) radians, got {phi}")
     return phi
 
 

@@ -16,7 +16,6 @@ from esphere import (
     chsh,
     classify,
     correlation,
-    correlation_closed_form,
     experiment_triple,
     scan,
 )
@@ -27,6 +26,18 @@ X_AXIS = Direction(1.0, 0.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def correlation_closed_form(u1: Direction, u2: Direction, epsilon: float) -> float:
+    """Oracle: the singlet correlation law written without the four-outcome detour.
+
+    Independent of :func:`correlation`, which goes through the joint
+    distribution; the two routes are checked against each other below.
+    """
+    c = u1.dot(u2)
+    if epsilon == 0.0:
+        return 1.0 if c <= 0.0 else -1.0
+    return max(-1.0, min(1.0, -c / epsilon))
 
 
 class TestCorrelation:
@@ -59,11 +70,12 @@ class TestCorrelation:
         assert correlation(pole, u2.opposite(), 0.5) == 1.0
 
     def test_zero_epsilon_signs(self):
-        assert correlation_closed_form(Z_AXIS, Z_AXIS, 0.0) == -1.0
-        assert correlation_closed_form(Z_AXIS, Z_AXIS.opposite(), 0.0) == 1.0
-        # c = 0 counts as c <= 0: the dragged projection ties at zero and
-        # the tie resolves to yes, concentrating the joint on x1.
-        assert correlation_closed_form(X_AXIS, Z_AXIS, 0.0) == 1.0
+        for route in (correlation, correlation_closed_form):
+            assert route(Z_AXIS, Z_AXIS, 0.0) == -1.0
+            assert route(Z_AXIS, Z_AXIS.opposite(), 0.0) == 1.0
+            # c = 0 counts as c <= 0: the dragged projection ties at zero and
+            # the tie resolves to yes, concentrating the joint on x1.
+            assert route(X_AXIS, Z_AXIS, 0.0) == 1.0
 
     @given(u1=directions(), u2=directions(), epsilon=epsilons())
     def test_bounded_by_one(self, u1, u2, epsilon):
@@ -73,7 +85,7 @@ class TestCorrelation:
         with pytest.raises(ValidationError):
             correlation(X_AXIS, Z_AXIS, 1.5)
         with pytest.raises(ValidationError):
-            correlation_closed_form(X_AXIS, Z_AXIS, -0.1)
+            correlation(X_AXIS, Z_AXIS, -0.1)
 
 
 class TestChsh:

@@ -30,14 +30,6 @@ def test_chsh_vs_epsilon_table(monkeypatch, capsys):
     assert "(quantum 2*sqrt(2))" in out
 
 
-def test_chsh_vs_epsilon_csv(monkeypatch, capsys, tmp_path):
-    target = tmp_path / "chsh.csv"
-    run_script(monkeypatch, capsys, "chsh_vs_epsilon.py", "--points", "3", "--output", str(target))
-    lines = target.read_text().splitlines()
-    assert lines[0] == "epsilon,s,closed_form"
-    assert len(lines) == 4
-
-
 def test_convergence_check(monkeypatch, capsys):
     out = run_script(
         monkeypatch, capsys, "convergence_check.py", "--epsilon", "0.7", "--theta", "1.2", "--doublings", "2"

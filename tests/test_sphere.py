@@ -41,6 +41,41 @@ class FixedBreak:
         return self.value
 
 
+class Exploding:
+    """Stand-in random stream that fails any draw."""
+
+    def uniform(self, low: float, high: float) -> float:
+        raise AssertionError("no draw expected when the outcome is certain")
+
+
+# (epsilon, projection a, answer) where the answer is certain: the sign of a
+# at epsilon = +-0 with ties going to yes, and a subnormal band's two edges.
+TIE_RULE_EDGES = [
+    (0.0, -1.0, "no"),
+    (0.0, -5e-324, "no"),
+    (0.0, -0.0, "yes"),
+    (0.0, 0.0, "yes"),
+    (0.0, 5e-324, "yes"),
+    (0.0, 1.0, "yes"),
+    (-0.0, -1.0, "no"),
+    (-0.0, -5e-324, "no"),
+    (-0.0, -0.0, "yes"),
+    (-0.0, 0.0, "yes"),
+    (-0.0, 5e-324, "yes"),
+    (-0.0, 1.0, "yes"),
+    (5e-324, -5e-324, "no"),
+    (5e-324, 5e-324, "yes"),
+]
+
+
+def projecting_to(a: float) -> BlochState:
+    """A state whose projection on X_AXIS is exactly a, sign of zero included."""
+    s = BlochState(a, -0.0, -0.0)
+    landed = projection(s, X_AXIS)
+    assert landed == a and math.copysign(1.0, landed) == math.copysign(1.0, a)
+    return s
+
+
 def ball_states() -> st.SearchStrategy[BlochState]:
     return st.builds(
         BlochState.from_angles,
@@ -188,6 +223,12 @@ class TestOutcomeProbability:
         assert outcome_probability(BlochState(-0.2, 0.0, 0.0), X_AXIS, 0.0).p_yes == 0.0
         assert outcome_probability(BlochState.center(), X_AXIS, 0.0).p_yes == 1.0
 
+    @pytest.mark.parametrize("eps,a,answer", TIE_RULE_EDGES)
+    def test_tie_rule_at_its_edges(self, eps: float, a: float, answer: str) -> None:
+        probs = outcome_probability(projecting_to(a), X_AXIS, eps)
+        expected = (1.0, 0.0) if answer == "yes" else (0.0, 1.0)
+        assert (probs.p_yes, probs.p_no) == expected
+
     @given(ball_states(), directions())
     def test_deterministic_limit_is_always_classical(self, s: BlochState, u: Direction) -> None:
         assert is_classical_test(outcome_probability(s, u, 0.0))
@@ -216,16 +257,19 @@ class TestOutcomeProbability:
 
 class TestSampleMeasurement:
     def test_certain_regions_skip_the_draw(self) -> None:
-        class Exploding:
-            def uniform(self, low: float, high: float) -> float:
-                raise AssertionError("no draw expected when the outcome is certain")
-
         up = BlochState.from_direction(Z_AXIS)
         outcome, post = sample_measurement(up, Z_AXIS, 0.5, Exploding())
         assert outcome is MeasurementOutcome.YES
         assert post == up
         outcome, post = sample_measurement(BlochState.center(), Z_AXIS, 0.0, Exploding())
         assert outcome is MeasurementOutcome.YES
+
+    @pytest.mark.parametrize("eps,a,answer", TIE_RULE_EDGES)
+    def test_tie_rule_edges_skip_the_draw(self, eps: float, a: float, answer: str) -> None:
+        outcome, post = sample_measurement(projecting_to(a), X_AXIS, eps, Exploding())
+        assert outcome is MeasurementOutcome(answer)
+        axis = X_AXIS if answer == "yes" else X_AXIS.opposite()
+        assert post == BlochState.from_direction(axis)
 
     def test_break_at_projection_point_answers_yes(self) -> None:
         s = BlochState(0.25, 0.0, 0.0)
