@@ -31,15 +31,12 @@ def main() -> int:
 
     epsilons = [float(tok) for tok in args.epsilons.split(",")]
     thetas = [float(t) for t in np.linspace(0.0, math.pi, args.theta_points)]
-    rows = scan(epsilons, thetas)
+    cols = scan(epsilons, thetas)
+    marks = np.where(cols["separated"], "S", np.where(cols["compatible"], "c", "x"))
 
     print(f"theta runs 0 .. pi left to right ({args.theta_points} points)")
-    for i, eps in enumerate(epsilons):
-        chunk = rows[i * len(thetas) : (i + 1) * len(thetas)]
-        line = "".join(
-            "S" if r["separated"] else ("c" if r["compatible"] else "x") for r in chunk
-        )
-        print(f"epsilon {eps:5.2f}  {line}")
+    for eps, row in zip(epsilons, marks.reshape(len(epsilons), len(thetas))):
+        print(f"epsilon {eps:5.2f}  {''.join(row)}")
     print("\nS separated   c compatible only   x not compatible")
     return 0
 

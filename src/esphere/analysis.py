@@ -21,14 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .operational import (
     DEFAULT_TOLERANCE,
     JointOutcomeProb,
     Tolerance,
+    _eps,
     classify,
 )
-from .singlet import experiment_triple, joint_distribution_analytic
-from .sphere import Direction
+from .singlet import experiment_triple, joint_distribution_analytic, joint_law
+from .sphere import BlochState, Direction, outcome_probability
 from .validation import check_epsilon, check_polar_angle
 
 # Coplanar polar angles (left pair, right pair) realizing both extremes of
@@ -136,19 +139,54 @@ def scan(
     epsilons: list[float],
     thetas: list[float],
     tol: Tolerance | float = DEFAULT_TOLERANCE,
-) -> list[dict[str, object]]:
+) -> dict[str, np.ndarray]:
     """Classify the singlet joint test over an (epsilon, theta) grid.
 
     Directions are placed in a common plane, separated by the relative
-    angle theta; only that angle matters for the singlet statistics. Rows
-    are :func:`classification_row` dicts in grid order, epsilon outermost.
+    angle theta; only that angle matters for the singlet statistics. The
+    result is columnar: one array per :func:`classification_row` key, in
+    that order, with one entry per grid point, epsilon outermost. Every
+    entry equals the one :func:`classification_row` gives for that point,
+    bit for bit.
     """
     epsilons = [check_epsilon(e) for e in epsilons]
     thetas = [check_polar_angle(t) for t in thetas]
+    eps_prob = _eps(tol)
     pole = Direction.from_angles(0.0)
-    axes = [Direction.from_angles(t) for t in thetas]
-    return [
-        classification_row(eps, theta, pole, u2, tol)
-        for eps in epsilons
-        for theta, u2 in zip(thetas, axes)
-    ]
+    c = np.array([pole.dot(Direction.from_angles(t)) for t in thetas], dtype=np.float64)
+    # The center state projects to 0 on every axis, so each side measured
+    # alone has the same law at every theta.
+    center = BlochState.center()
+    alone = [outcome_probability(center, pole, e) for e in epsilons]
+    yes = np.array([m.p_yes for m in alone], dtype=np.float64)[:, None]
+    no = np.array([m.p_no for m in alone], dtype=np.float64)[:, None]
+    joint = np.empty((len(epsilons), len(thetas), 4))
+    for i, eps in enumerate(epsilons):
+        joint[i] = joint_law(c, eps)
+    p1, p2, p3, p4 = np.moveaxis(joint, -1, 0)
+    # operational.classify with left = right = (yes, no), term by term
+    compatible = (
+        (np.abs(yes - (p1 + p2)) <= eps_prob)
+        & (np.abs(no - (p3 + p4)) <= eps_prob)
+        & (np.abs(yes - (p1 + p3)) <= eps_prob)
+        & (np.abs(no - (p2 + p4)) <= eps_prob)
+    )
+    product = (
+        (np.abs(p1 - yes * yes) <= eps_prob)
+        & (np.abs(p2 - yes * no) <= eps_prob)
+        & (np.abs(p3 - no * yes) <= eps_prob)
+        & (np.abs(p4 - no * no) <= eps_prob)
+    )
+    classical_joint = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)) >= 1.0 - eps_prob
+    return {
+        "epsilon": np.repeat(np.array(epsilons, dtype=np.float64), len(thetas)),
+        "theta": np.tile(np.array(thetas, dtype=np.float64), len(epsilons)),
+        "p1": p1.ravel(),
+        "p2": p2.ravel(),
+        "p3": p3.ravel(),
+        "p4": p4.ravel(),
+        "E": ((p1 + p4) - (p2 + p3)).ravel(),  # the order of _expectation
+        "compatible": compatible.ravel(),
+        "separated": (product & compatible).ravel(),
+        "classical_joint": classical_joint.ravel(),
+    }

@@ -19,11 +19,10 @@ number can be regenerated.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -39,32 +38,64 @@ from .singlet import (
 from .sphere import BlochState, Direction, outcome_probability
 from .validation import ValidationError, check_grid_size
 
-Row = dict[str, object]
+Columns = dict[str, np.ndarray]
 
 
-def _format_value(value: object) -> str:
+def _csv_text(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         # 17 significant digits: parsing the field recovers the exact double
-        return format(value, ".17g")
+        return "%.17g" % value
     return str(value)
 
 
-def _render_csv(rows: list[Row]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        writer.writerow([_format_value(v) for v in row.values()])
-    return buffer.getvalue()
+def _json_text(value: object) -> str:
+    if isinstance(value, float):
+        return float.__repr__(value)  # what json.dumps prints for a finite float
+    return json.dumps(value)
 
 
-def _render_json(rows: list[Row], meta: Row) -> str:
-    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+def _row(fields: dict[str, object]) -> Columns:
+    """One output row as columns of length one."""
+    return {key: np.array([value]) for key, value in fields.items()}
 
 
-def _emit(args: argparse.Namespace, rows: list[Row]) -> None:
+def _cells(column: np.ndarray, text: Callable[[object], str], before: str = "", after: str = "") -> list[str]:
+    """The printed text of each entry of one column; each distinct value is formatted once."""
+    floats = column.dtype.kind == "f"
+    # Floats are told apart by bit pattern, so -0.0 keeps its sign.
+    distinct, where = np.unique(column.view(np.uint64) if floats else column, return_inverse=True)
+    values = (distinct.view(np.float64) if floats else distinct).tolist()
+    printed = np.array([before + text(value) + after for value in values], dtype=object)
+    return printed[where].tolist()
+
+
+def _render_csv(columns: Columns) -> str:
+    cells = [_cells(column, _csv_text) for column in columns.values()]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _render_json(columns: Columns, meta: dict[str, object]) -> str:
+    # Each cell carries its key and indentation as json.dumps(indent=2) lays
+    # a row out, and the first and last cells of a row carry its braces, so
+    # rows are plain joins; the encoder's indented output is pure Python.
+    last = len(columns) - 1
+    cells = [
+        _cells(
+            column,
+            _json_text,
+            ("    {\n" if i == 0 else "") + f"      {json.dumps(key)}: ",
+            "\n    }" if i == last else "",
+        )
+        for i, (key, column) in enumerate(columns.items())
+    ]
+    rows = ",\n".join(map(",\n".join, zip(*cells)))
+    head = json.dumps({"meta": meta}, indent=2)[: -len("\n}")]
+    return f'{head},\n  "rows": [\n{rows}\n  ]\n}}\n'
+
+
+def _emit(args: argparse.Namespace, columns: Columns) -> None:
     if args.format == "json":
         flags = {
             key: value
@@ -76,9 +107,9 @@ def _emit(args: argparse.Namespace, rows: list[Row]) -> None:
             "seed": getattr(args, "seed", None),
             "flags": flags,
         }
-        text = _render_json(rows, meta)
+        text = _render_json(columns, meta)
     else:
-        text = _render_csv(rows)
+        text = _render_csv(columns)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -112,20 +143,20 @@ def _resolve_pair(args: argparse.Namespace) -> tuple[Direction, Direction, float
     return (u1, u2, math.acos(u1.dot(u2)))
 
 
-def cmd_single(args: argparse.Namespace) -> list[Row]:
+def cmd_single(args: argparse.Namespace) -> Columns:
     state = BlochState.from_angles(args.state_r, args.state_theta, args.state_phi)
     direction = Direction.from_angles(args.dir_theta, args.dir_phi)
     probs = outcome_probability(state, direction, args.epsilon)
-    return [{"p_yes": probs.p_yes, "p_no": probs.p_no}]
+    return _row({"p_yes": probs.p_yes, "p_no": probs.p_no})
 
 
-def cmd_joint(args: argparse.Namespace) -> list[Row]:
+def cmd_joint(args: argparse.Namespace) -> Columns:
     u1, u2, _ = _resolve_pair(args)
     j = joint_distribution_analytic(u1, u2, args.epsilon)
-    return [{"p1": j.p1, "p2": j.p2, "p3": j.p3, "p4": j.p4}]
+    return _row({"p1": j.p1, "p2": j.p2, "p3": j.p3, "p4": j.p4})
 
 
-def cmd_simulate(args: argparse.Namespace) -> list[Row]:
+def cmd_simulate(args: argparse.Namespace) -> Columns:
     u1, u2, _ = _resolve_pair(args)
     order = MeasurementOrder(args.order)
     spec = JointTestSpec(u1=u1, u2=u2, epsilon=args.epsilon, order=order)
@@ -135,28 +166,23 @@ def cmd_simulate(args: argparse.Namespace) -> list[Row]:
     if args.epsilon == 0.0 and order is MeasurementOrder.RIGHT_FIRST:
         # the deterministic certain outcome is labeled by who went first
         reference[1], reference[2] = reference[2], reference[1]
-    labels = ("x1", "x2", "x3", "x4")
-    empirical = freqs.as_tuple()
-    return [
-        {
-            "outcome": labels[i],
-            "count": counts[i],
-            "frequency": empirical[i],
-            "analytic": reference[i],
-        }
-        for i in range(4)
-    ]
+    return {
+        "outcome": np.array(["x1", "x2", "x3", "x4"]),
+        "count": np.array(counts),
+        "frequency": np.array(freqs.as_tuple()),
+        "analytic": np.array(reference),
+    }
 
 
-def cmd_classify(args: argparse.Namespace) -> list[Row]:
+def cmd_classify(args: argparse.Namespace) -> Columns:
     u1, u2, theta = _resolve_pair(args)
-    return [classification_row(args.epsilon, theta, u1, u2, Tolerance(args.tolerance))]
+    return _row(classification_row(args.epsilon, theta, u1, u2, Tolerance(args.tolerance)))
 
 
-def cmd_chsh(args: argparse.Namespace) -> list[Row]:
+def cmd_chsh(args: argparse.Namespace) -> Columns:
     setup = ChshSetup.coplanar(args.epsilon, args.a, args.a_prime, args.b, args.b_prime)
     result = chsh(setup)
-    return [
+    return _row(
         {
             "e_ab": result.e_ab,
             "e_ab_prime": result.e_ab_prime,
@@ -164,10 +190,10 @@ def cmd_chsh(args: argparse.Namespace) -> list[Row]:
             "e_a_prime_b_prime": result.e_a_prime_b_prime,
             "s": result.s,
         }
-    ]
+    )
 
 
-def cmd_scan(args: argparse.Namespace) -> list[Row]:
+def cmd_scan(args: argparse.Namespace) -> Columns:
     epsilons = _parse_float_list(args.epsilons, "--epsilons")
     if not epsilons:
         raise ValidationError("--epsilons must name at least one value")
@@ -184,12 +210,12 @@ def cmd_scan(args: argparse.Namespace) -> list[Row]:
     return scan(epsilons, thetas, Tolerance(args.tolerance))
 
 
-def cmd_vessels(args: argparse.Namespace) -> list[Row]:
+def cmd_vessels(args: argparse.Namespace) -> Columns:
     kind = args.kind.replace("-", "_")
     triple = vessels_scenario(kind)
     report = classify(triple, Tolerance(args.tolerance))
     j = triple.joint
-    return [
+    return _row(
         {
             "kind": args.kind,
             "left_p_yes": triple.left.p_yes,
@@ -204,7 +230,7 @@ def cmd_vessels(args: argparse.Namespace) -> list[Row]:
             "classical_right": report.classical_right,
             "classical_joint": report.classical_joint,
         }
-    ]
+    )
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -300,8 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rows = args.func(args)
-        _emit(args, rows)
+        _emit(args, args.func(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

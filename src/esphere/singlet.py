@@ -126,6 +126,31 @@ def joint_distribution_analytic(u1: Direction, u2: Direction, epsilon: float) ->
     return JointOutcomeProb(p_same, p_diff, p_diff, p_same)
 
 
+def joint_law(c: np.ndarray, epsilon: float) -> np.ndarray:
+    """:func:`joint_distribution_analytic` for one epsilon over an array of c = u1 . u2.
+
+    Returns an array of shape ``c.shape + (4,)`` holding (p1, p2, p3, p4).
+    Each cell is computed with the same IEEE operations, in the same order,
+    as the scalar law, so it equals the scalar law bit for bit. Serves
+    batches; a single point is cheaper through the scalar law.
+    """
+    epsilon = check_epsilon(epsilon)
+    c = np.asarray(c, dtype=np.float64)
+    if epsilon == 0.0:
+        p1 = np.where(c > 0.0, 0.0, 1.0)
+        zero = np.zeros_like(p1)
+        return np.stack([p1, 1.0 - p1, zero, zero], axis=-1)
+    # At subnormal epsilon the division overflows where |c| >= epsilon; the clamps discard those cells.
+    with np.errstate(over="ignore"):
+        anti = (epsilon - c) / (2.0 * epsilon)
+        p_same = (0.5 + 0.5 * anti) - 0.5
+        p_diff = 0.5 - p_same
+    above, below = c >= epsilon, c <= -epsilon
+    p_same = np.where(above, 0.0, np.where(below, 0.5, p_same))
+    p_diff = np.where(above, 0.5, np.where(below, 0.0, p_diff))
+    return np.stack([p_same, p_diff, p_diff, p_same], axis=-1)
+
+
 def run_joint_trial(spec: JointTestSpec, rng: np.random.Generator) -> TrialRecord:
     """Sample one sequential joint test on the singlet preparation.
 

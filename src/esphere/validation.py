@@ -17,8 +17,12 @@ PROB_ATOL = 1e-9
 UNIT_ATOL = 1e-12
 
 # Largest (epsilon, theta) grid a scan accepts: about ten times the
-# 101 x 1001 landscape, a few GB of rows at most.
+# 101 x 1001 landscape, whose JSON output is about 27 MB.
 MAX_GRID_POINTS = 1_000_000
+
+# Most Monte Carlo trials one simulation accepts: about 50 s at the
+# measured 20 Mtrials/s of the block kernel.
+MAX_TRIALS = 10**9
 
 
 class ValidationError(ValueError):
@@ -70,6 +74,8 @@ def check_trials(trials: int) -> int:
         raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials of {trials} exceeds the limit of {MAX_TRIALS}")
     return trials
 
 

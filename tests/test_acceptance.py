@@ -168,17 +168,18 @@ def test_criterion_4_separability_landscape():
     thetas = [float(t) for t in np.linspace(0.0, math.pi, 181)]
     tol = Tolerance(eps_prob=1e-9)
 
-    rows = scan([0.25, 0.5, 0.75, 1.0], thetas, tol)
-    for i, row in enumerate(rows):
-        assert row["compatible"], (row["epsilon"], row["theta"])
+    cols = scan([0.25, 0.5, 0.75, 1.0], thetas, tol)
+    for i in range(len(cols["epsilon"])):
+        assert cols["compatible"][i], (cols["epsilon"][i], cols["theta"][i])
         # Column 90 is the orthogonal midpoint of the 181-point grid.
-        assert row["separated"] == (i % 181 == 90), (row["epsilon"], row["theta"])
+        assert cols["separated"][i] == (i % 181 == 90), (cols["epsilon"][i], cols["theta"][i])
 
     pole = Direction.from_angles(0.0)
-    for row in scan([0.0], thetas, tol):
-        expected = pole.dot(Direction.from_angles(row["theta"])) <= 0.0
-        assert row["compatible"] == expected, row["theta"]
-        assert row["separated"] == expected, row["theta"]
+    cols = scan([0.0], thetas, tol)
+    for i in range(len(cols["epsilon"])):
+        expected = pole.dot(Direction.from_angles(cols["theta"][i])) <= 0.0
+        assert cols["compatible"][i] == expected, cols["theta"][i]
+        assert cols["separated"][i] == expected, cols["theta"][i]
 
     assert time.perf_counter() - start < 1.0
 

@@ -14,6 +14,7 @@ from esphere import (
     Tolerance,
     ValidationError,
     chsh,
+    classification_row,
     classify,
     correlation,
     experiment_triple,
@@ -155,67 +156,68 @@ class TestScan:
     def test_grid_shape_and_order(self):
         eps_grid = [0.5, 1.0]
         theta_grid = [0.0, math.pi / 2.0, math.pi]
-        rows = scan(eps_grid, theta_grid)
-        assert len(rows) == 6
-        assert [r["epsilon"] for r in rows] == [0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
-        assert [r["theta"] for r in rows] == theta_grid * 2
+        cols = scan(eps_grid, theta_grid)
+        assert len(cols["epsilon"]) == 6
+        assert cols["epsilon"].tolist() == [0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
+        assert cols["theta"].tolist() == theta_grid * 2
 
     def test_rows_match_direct_classification(self):
         pole = Direction.from_angles(0.0)
-        for row in scan([0.25, 1.0], list(np.linspace(0.0, math.pi, 13))):
-            u2 = Direction.from_angles(row["theta"])
-            triple = experiment_triple(pole, u2, row["epsilon"])
+        cols = scan([0.25, 1.0], list(np.linspace(0.0, math.pi, 13)))
+        for k in range(len(cols["epsilon"])):
+            u2 = Direction.from_angles(cols["theta"][k])
+            triple = experiment_triple(pole, u2, cols["epsilon"][k])
             report = classify(triple)
             j = triple.joint
-            assert (row["p1"], row["p2"], row["p3"], row["p4"]) == j.as_tuple()
-            assert row["E"] == (j.p1 + j.p4) - (j.p2 + j.p3)
-            assert row["compatible"] == report.compatible
-            assert row["separated"] == report.separated
-            assert row["classical_joint"] == report.classical_joint
+            assert (cols["p1"][k], cols["p2"][k], cols["p3"][k], cols["p4"][k]) == j.as_tuple()
+            assert cols["E"][k] == (j.p1 + j.p4) - (j.p2 + j.p3)
+            assert cols["compatible"][k] == report.compatible
+            assert cols["separated"][k] == report.separated
+            assert cols["classical_joint"][k] == report.classical_joint
 
     def test_positive_epsilon_landscape(self):
         thetas = list(np.linspace(0.0, math.pi, 181))
-        rows = scan([0.25, 0.5, 0.75, 1.0], thetas)
-        for i, row in enumerate(rows):
-            assert row["compatible"]
-            assert not row["classical_joint"]
+        cols = scan([0.25, 0.5, 0.75, 1.0], thetas)
+        for i in range(len(cols["epsilon"])):
+            assert cols["compatible"][i]
+            assert not cols["classical_joint"][i]
             # The separability residual is |c| / 4: far above tolerance
             # everywhere except the orthogonal midpoint, where the
             # floating-point cosine is ~1e-17.
             at_midpoint = i % len(thetas) == 90
-            assert row["separated"] == at_midpoint, (row["epsilon"], row["theta"])
+            assert cols["separated"][i] == at_midpoint, (cols["epsilon"][i], cols["theta"][i])
 
     def test_orthogonal_column_is_separated(self):
-        rows = scan([0.25, 0.5, 0.75, 1.0], [0.0, math.pi / 2.0, math.pi])
-        for r in rows:
-            assert r["compatible"]
-            assert r["separated"] == (r["theta"] == math.pi / 2.0), (r["epsilon"], r["theta"])
+        cols = scan([0.25, 0.5, 0.75, 1.0], [0.0, math.pi / 2.0, math.pi])
+        for k in range(len(cols["epsilon"])):
+            assert cols["compatible"][k]
+            assert cols["separated"][k] == (cols["theta"][k] == math.pi / 2.0), (cols["epsilon"][k], cols["theta"][k])
 
     def test_zero_epsilon_landscape(self):
         thetas = list(np.linspace(0.0, math.pi, 181))
-        rows = scan([0.0], thetas)
+        cols = scan([0.0], thetas)
         pole = Direction.from_angles(0.0)
-        for row in rows:
-            c = pole.dot(Direction.from_angles(row["theta"]))
+        for k in range(len(cols["epsilon"])):
+            c = pole.dot(Direction.from_angles(cols["theta"][k]))
             expected = c <= 0.0
-            assert row["compatible"] == expected
-            assert row["separated"] == expected
-            assert row["classical_joint"]  # point mass either way
+            assert cols["compatible"][k] == expected
+            assert cols["separated"][k] == expected
+            assert cols["classical_joint"][k]  # point mass either way
 
     def test_band_boundary_row(self):
-        rows = scan([0.5], [math.pi / 3.0])
-        (row,) = rows
-        assert (row["p1"], row["p2"], row["p3"], row["p4"]) == (0.0, 0.5, 0.5, 0.0)
-        assert row["compatible"]
-        assert not row["separated"]
-        assert row["E"] == -1.0
+        cols = scan([0.5], [math.pi / 3.0])
+        assert len(cols["epsilon"]) == 1
+        assert (cols["p1"][0], cols["p2"][0], cols["p3"][0], cols["p4"][0]) == (0.0, 0.5, 0.5, 0.0)
+        assert cols["compatible"][0]
+        assert not cols["separated"][0]
+        assert cols["E"][0] == -1.0
 
     def test_tolerance_is_configurable(self):
         # Residual |c| / 4 ~ 0.0025 here: above the default tolerance,
         # below a loose one.
         theta = math.pi / 2.0 + 0.01
-        assert not scan([1.0], [theta])[0]["separated"]
-        assert scan([1.0], [theta], tol=Tolerance(eps_prob=1e-2))[0]["separated"]
+        assert not scan([1.0], [theta])["separated"][0]
+        assert scan([1.0], [theta], tol=Tolerance(eps_prob=1e-2))["separated"][0]
 
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValidationError):
@@ -228,6 +230,65 @@ class TestScan:
             scan([1.0], [math.nan])
 
 
+SCHEMA = ["epsilon", "theta", "p1", "p2", "p3", "p4", "E", "compatible", "separated", "classical_joint"]
+
+
+def assert_columns_match_rows(epsilons, thetas, tol):
+    """scan's columns equal classification_row at every grid point, bit for bit."""
+    cols = scan(epsilons, thetas, tol)
+    pole = Direction.from_angles(0.0)
+    axes = [Direction.from_angles(t) for t in thetas]
+    rows = [classification_row(e, t, pole, u2, tol) for e in epsilons for t, u2 in zip(thetas, axes)]
+    assert list(cols) == SCHEMA
+    for key, column in cols.items():
+        want = np.array([row[key] for row in rows])
+        assert column.dtype == want.dtype, key
+        if column.dtype.kind == "f":
+            column, want = column.view(np.uint64), want.view(np.uint64)
+        np.testing.assert_array_equal(column, want, err_msg=key)
+
+
+def exact_theta(c: float) -> float:
+    """acos(c), or a theta within 4 ulps of it whose coplanar dot product is exactly c."""
+    pole = Direction.from_angles(0.0)
+    theta = math.acos(c)
+    candidates = [theta]
+    for toward in (0.0, math.pi):
+        t = theta
+        for _ in range(4):
+            t = math.nextafter(t, toward)
+            candidates.append(t)
+    hits = [t for t in candidates if pole.dot(Direction.from_angles(t)) == c]
+    return hits[0] if hits else theta
+
+
+class TestScanColumns:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-2])
+    def test_full_grid_matches_classification_row(self, tol):
+        epsilons = [round(i * 0.01, 2) for i in range(101)]
+        assert_columns_match_rows(epsilons, np.linspace(0.0, math.pi, 1001).tolist(), Tolerance(tol))
+
+    # at 0.25, 0.5 and 1 some residuals, or 1 - max(p), equal the tolerance exactly
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-2, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-300, 0.25, 0.3, 0.5, 1.0])
+    def test_edge_points_match_classification_row(self, eps, tol):
+        thetas = [-0.0, 0.0, math.pi / 2.0, math.pi]
+        for c in (eps, -eps):
+            t = exact_theta(c)
+            thetas += [t, math.nextafter(t, 0.0), math.nextafter(t, math.pi)]
+        assert_columns_match_rows([eps], thetas, tol)
+
+    def test_edge_thetas_reach_c_equal_to_plus_and_minus_epsilon(self):
+        pole = Direction.from_angles(0.0)
+        for c in (0.25, -0.3, 1.0, -1.0):
+            assert pole.dot(Direction.from_angles(exact_theta(c))) == c
+
+    def test_empty_grid_gives_empty_columns(self):
+        cols = scan([], [0.0])
+        assert list(cols) == SCHEMA
+        assert all(len(column) == 0 for column in cols.values())
+
+
 class TestScanRowCorrelationIdentity:
     @given(
         epsilon=epsilons(),
@@ -235,5 +296,6 @@ class TestScanRowCorrelationIdentity:
     )
     @settings(max_examples=50)
     def test_correlation_equals_outcome_combination(self, epsilon, theta):
-        (row,) = scan([epsilon], [theta])
-        assert row["E"] == (row["p1"] + row["p4"]) - (row["p2"] + row["p3"])
+        cols = scan([epsilon], [theta])
+        assert len(cols["epsilon"]) == 1
+        assert cols["E"][0] == (cols["p1"][0] + cols["p4"][0]) - (cols["p2"][0] + cols["p3"][0])

@@ -1,19 +1,54 @@
 """Tests for the command-line interface: flags, formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 
 import pytest
 
-from esphere import Direction, JointOutcomeProb, ValidationError, cli, joint_distribution_analytic, validation
+from esphere import Direction, JointOutcomeProb, ValidationError, cli, joint_distribution_analytic, singlet, validation
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def oracle_format_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def oracle_csv(rows):
+    """Reference CSV renderer: the csv module over row dicts."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow([oracle_format_value(v) for v in row.values()])
+    return buffer.getvalue()
+
+
+def oracle_json(rows, meta):
+    """Reference JSON renderer: json.dumps of the whole document."""
+    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+
+
+def oracle_stdout(argv):
+    """What ``esphere <argv>`` prints, rendered by the reference renderers from the command's columns."""
+    args = cli.build_parser().parse_args(argv)
+    columns = args.func(args)
+    rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
+    if args.format == "csv":
+        return oracle_csv(rows)
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "format", "output") and v is not None}
+    return oracle_json(rows, {"version": cli.__version__, "seed": getattr(args, "seed", None), "flags": flags})
 
 
 def parse_csv(text):
@@ -275,12 +310,12 @@ class TestScan:
         from esphere import scan as scan_fn
 
         expected = scan_fn([0.5, 1.0], [i * math.pi / 4.0 for i in range(5)])
-        for got, want in zip(rows, expected):
-            assert float(got["epsilon"]) == want["epsilon"]
-            assert float(got["theta"]) == want["theta"]
-            assert float(got["p1"]) == want["p1"]
-            assert float(got["E"]) == want["E"]
-            assert got["separated"] == ("true" if want["separated"] else "false")
+        for k, got in enumerate(rows):
+            assert float(got["epsilon"]) == expected["epsilon"][k]
+            assert float(got["theta"]) == expected["theta"][k]
+            assert float(got["p1"]) == expected["p1"][k]
+            assert float(got["E"]) == expected["E"][k]
+            assert got["separated"] == ("true" if expected["separated"][k] else "false")
 
     def test_explicit_theta_list(self, capsys):
         code, out, _ = run_cli(
@@ -337,6 +372,79 @@ class TestScan:
         )
         assert code == 2
         assert "error:" in err
+
+
+class TestRenderers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single", "--epsilon", "0.5", "--state-r", "1", "--state-theta", "0", "--dir-theta", "1.3181"],
+            ["single", "--epsilon", "0", "--state-r", "0"],
+            ["joint", "--epsilon", "0.7", "--theta1", "0.3", "--phi1", "1.0", "--theta2", "2.0", "--phi2", "4.0"],
+            ["joint", "--epsilon", "5e-324", "--theta", "1.0"],
+            ["simulate", "--epsilon", "0.7", "--theta", "1.1", "--trials", "70000", "--seed", "9"],
+            ["simulate", "--epsilon", "0", "--theta", "1.0", "--trials", "1000", "--seed", "3", "--order", "right-first"],
+            ["classify", "--epsilon", "0.5", "--theta", "-0.0"],
+            ["classify", "--epsilon", "1", "--theta", "1.5707963", "--tolerance", "1e-7"],
+            ["chsh", "--epsilon", "0.8", "--a", "0.1", "--a-prime", "1.0", "--b", "2.0", "--b-prime", "3.0"],
+            ["scan", "--epsilons", "0.25,0.5,1.0", "--theta-points", "19"],
+            ["scan", "--epsilons=-0.0,0,5e-324,1e-300,0.5,1", "--thetas=-0.0,0,1.5707963267948966,3.141592653589793"],
+            ["scan", "--epsilons", "5e-324", "--thetas", "-0.0"],
+            ["scan", "--epsilons", "0.5", "--theta-points", "1", "--tolerance", "0.3"],
+            ["vessels", "--kind", "alpha-beta"],
+            ["vessels", "--kind", "alpha-alpha"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_equals_reference_renderer(self, capsys, argv, fmt):
+        argv = [*argv, "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == oracle_stdout(argv)
+
+    def test_negative_zero_keeps_its_sign(self, capsys):
+        _, out, _ = run_cli(capsys, "scan", "--epsilons", "0.5", "--thetas=-0.0,0")
+        assert [row["theta"] for row in parse_csv(out)] == ["-0", "0"]
+        _, out, _ = run_cli(capsys, "scan", "--epsilons", "0.5", "--thetas=-0.0,0", "--format", "json")
+        assert '"theta": -0.0,' in out and '"theta": 0.0,' in out
+
+
+class TestScanGolden:
+    """The published 101 x 1001 landscape, pinned byte for byte."""
+
+    EPSILONS = ",".join(repr(round(i * 0.01, 2)) for i in range(101))
+    DIGESTS = {
+        "csv": "ecd658834f16a78075cbcaf5caf9856889945508145a2bac36ccd6feb7160d1a",
+        "json": "1300f6b739ecd1ba84aa66d63d53558d8714a5c5cf34809387fa2ba8d9e88221",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_grid_digest(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "scan", "--epsilons", self.EPSILONS, "--theta-points", "1001", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.DIGESTS[fmt]
+
+
+class TestTrialsCeiling:
+    def test_accepts_trials_at_the_limit(self):
+        assert validation.check_trials(10**9) == 10**9
+
+    @pytest.mark.parametrize("trials", [10**9 + 1, 10**12, 10**18])
+    def test_rejects_trials_above_the_limit(self, trials):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            validation.check_trials(trials)
+
+    def test_cli_refuses_before_any_block_runs(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simulation block ran before the trials check")
+
+        monkeypatch.setattr(singlet, "_simulate_block", refuse)
+        code, out, err = run_cli(
+            capsys, "simulate", "--epsilon", "0.5", "--theta", "1", "--trials", str(10**9 + 1), "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the limit of 1000000000" in err
 
 
 class TestScanGridCeiling:

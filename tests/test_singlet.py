@@ -24,7 +24,7 @@ from esphere import (
     run_joint_trial,
     simulate,
 )
-from esphere.singlet import _simulate_block
+from esphere.singlet import _simulate_block, joint_law
 
 from conftest import directions, positive_epsilons, random_direction
 
@@ -127,6 +127,58 @@ class TestAnalyticDistribution:
     @given(directions(), directions(), positive_epsilons())
     def test_symmetric_under_direction_swap(self, u1: Direction, u2: Direction, eps: float) -> None:
         assert joint_distribution_analytic(u1, u2, eps) == joint_distribution_analytic(u2, u1, eps)
+
+
+# the 101 x 1001 landscape grid of ``esphere scan``
+GRID_EPSILONS = [round(i * 0.01, 2) for i in range(101)]
+GRID_COSINES = [Z_AXIS.dot(Direction.from_angles(t)) for t in np.linspace(0.0, math.pi, 1001).tolist()]
+EDGE_EPSILONS = [0.0, 5e-324, 1e-300, 0.5, 1.0]
+
+
+def axis_at(c: float) -> Direction:
+    """A direction whose dot product with Z_AXIS is exactly c, sign of zero included."""
+    u = Direction(-math.sqrt(1.0 - c * c), -0.0, c)
+    assert Z_AXIS.dot(u).hex() == c.hex()
+    return u
+
+
+def edge_cosines(eps: float) -> list[float]:
+    """c = +-eps, the doubles on either side of both, signed zeros and the poles."""
+    cs = [-1.0, -0.0, 0.0, 1.0]
+    for edge in (eps, -eps):
+        cs += [edge, math.nextafter(edge, -2.0), math.nextafter(edge, 2.0)]
+    return [c for c in cs if -1.0 <= c <= 1.0]
+
+
+class TestJointLaw:
+    @staticmethod
+    def assert_matches_scalar_law(cs: list[float], eps: float) -> None:
+        got = joint_law(np.array(cs), eps)
+        want = np.array([joint_distribution_analytic(Z_AXIS, axis_at(c), eps).as_tuple() for c in cs])
+        assert got.shape == (len(cs), 4)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_bitwise_equal_to_scalar_law_on_the_scan_grid(self) -> None:
+        for eps in GRID_EPSILONS:
+            self.assert_matches_scalar_law(GRID_COSINES, eps)
+
+    @pytest.mark.parametrize("eps", EDGE_EPSILONS + [0.25, 1e-7])
+    def test_bitwise_equal_to_scalar_law_at_edge_points(self, eps: float) -> None:
+        cs = edge_cosines(eps) + GRID_COSINES[::50]
+        self.assert_matches_scalar_law(cs, eps)
+
+    @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=20), positive_epsilons(0.0))
+    @example([-5e-324, 0.0, 5e-324, 1e-300], 5e-324)
+    def test_bitwise_equal_to_scalar_law_anywhere(self, cs: list[float], eps: float) -> None:
+        self.assert_matches_scalar_law(cs, eps)
+
+    def test_keeps_the_shape_of_c(self) -> None:
+        assert joint_law(np.zeros((2, 3)), 0.5).shape == (2, 3, 4)
+        assert joint_law(np.zeros((2, 3)), 0.0).shape == (2, 3, 4)
+
+    def test_rejects_bad_epsilon(self) -> None:
+        with pytest.raises(ValidationError):
+            joint_law(np.zeros(3), 1.5)
 
 
 class TestRunJointTrial:
