@@ -26,10 +26,8 @@ from .operational import (
     check_product_criterion,
     check_separability,
     classify,
-    compatibility_residuals,
     is_classical_joint,
     is_classical_test,
-    separability_residuals,
     vessels_scenario,
 )
 from .sphere import (
@@ -46,13 +44,10 @@ from .sphere import (
 )
 from .singlet import (
     BLOCK_TRIALS,
-    JointOutcome,
     JointTestSpec,
     MeasurementOrder,
-    TrialRecord,
     experiment_triple,
     joint_distribution_analytic,
-    run_joint_trial,
     simulate,
 )
 from .analysis import (
@@ -78,7 +73,6 @@ __all__ = [
     "DensityMatrix",
     "Direction",
     "ExperimentTriple",
-    "JointOutcome",
     "JointOutcomeProb",
     "JointTestSpec",
     "MeasurementOutcome",
@@ -86,7 +80,6 @@ __all__ = [
     "Spinor",
     "MeasurementOrder",
     "Tolerance",
-    "TrialRecord",
     "ValidationError",
     "check_compatibility",
     "check_product_criterion",
@@ -94,7 +87,6 @@ __all__ = [
     "chsh",
     "classification_row",
     "classify",
-    "compatibility_residuals",
     "correlation",
     "experiment_triple",
     "from_density_matrix",
@@ -103,10 +95,8 @@ __all__ = [
     "joint_distribution_analytic",
     "outcome_probability",
     "projection",
-    "run_joint_trial",
     "sample_measurement",
     "scan",
-    "separability_residuals",
     "simulate",
     "to_density_matrix",
     "vessels_scenario",

@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operational import (
-    DEFAULT_TOLERANCE,
-    JointOutcomeProb,
-    Tolerance,
-    _eps,
-    classify,
-)
-from .singlet import experiment_triple, joint_distribution_analytic, joint_law
+from .operational import DEFAULT_TOLERANCE, Tolerance, _eps, _verdicts
+from .singlet import joint_distribution_analytic, joint_law
 from .sphere import BlochState, Direction, outcome_probability
 from .validation import check_epsilon, check_polar_angle
 
@@ -39,14 +33,15 @@ from .validation import check_epsilon, check_polar_angle
 CANONICAL_CHSH_ANGLES = (0.0, 0.5 * math.pi, 0.25 * math.pi, 0.75 * math.pi)
 
 
-def _expectation(j: JointOutcomeProb) -> float:
-    """E of a joint distribution; this summation order fixes the printed bits."""
-    return (j.p1 + j.p4) - (j.p2 + j.p3)
+def _expectation(p1, p2, p3, p4):
+    """E of a joint distribution, on floats or numpy columns; this summation order fixes the printed bits."""
+    return (p1 + p4) - (p2 + p3)
 
 
 def correlation(u1: Direction, u2: Direction, epsilon: float) -> float:
     """E = p1 + p4 - p2 - p3 of the analytic singlet joint distribution."""
-    return _expectation(joint_distribution_analytic(u1, u2, epsilon))
+    j = joint_distribution_analytic(u1, u2, epsilon)
+    return _expectation(j.p1, j.p2, j.p3, j.p4)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,28 +106,47 @@ def chsh(setup: ChshSetup) -> ChshResult:
     )
 
 
+def _landscape(
+    epsilons: list[float], thetas: list[float], c: list[float], tol: Tolerance | float
+) -> dict[str, np.ndarray]:
+    """The columns :func:`scan` returns, for directions with u1 . u2 = ``c[k]`` at relative angle ``thetas[k]``."""
+    # The center state projects to 0 on every axis, so each side measured
+    # alone has the same law for every direction.
+    pole = Direction.from_angles(0.0)
+    alone = [outcome_probability(BlochState.center(), pole, e) for e in epsilons]
+    yes = np.array([m.p_yes for m in alone], dtype=np.float64)[:, None]
+    no = np.array([m.p_no for m in alone], dtype=np.float64)[:, None]
+    c = np.array(c, dtype=np.float64)
+    joint = np.empty((len(epsilons), len(c), 4))
+    for i, eps in enumerate(epsilons):
+        joint[i] = joint_law(c, eps)
+    p1, p2, p3, p4 = np.moveaxis(joint, -1, 0)
+    report, _ = _verdicts(yes, no, yes, no, p1, p2, p3, p4, _eps(tol))
+    return {
+        "epsilon": np.repeat(np.array(epsilons, dtype=np.float64), len(thetas)),
+        "theta": np.tile(np.array(thetas, dtype=np.float64), len(epsilons)),
+        "p1": p1.ravel(),
+        "p2": p2.ravel(),
+        "p3": p3.ravel(),
+        "p4": p4.ravel(),
+        "E": _expectation(p1, p2, p3, p4).ravel(),
+        "compatible": report.compatible.ravel(),
+        "separated": report.separated.ravel(),
+        "classical_joint": report.classical_joint.ravel(),
+    }
+
+
 def classification_row(
     epsilon: float, theta: float, u1: Direction, u2: Direction, tol: Tolerance | float = DEFAULT_TOLERANCE
 ) -> dict[str, object]:
     """One landscape point, keyed in the published ``scan``/``classify`` column order.
 
-    ``theta`` is the relative angle of u1 and u2, recorded as given.
+    The one-point case of :func:`scan`, for any pair of directions:
+    ``theta`` is the relative angle of u1 and u2, recorded as given, and
+    the values are plain Python floats and bools.
     """
-    triple = experiment_triple(u1, u2, epsilon)
-    report = classify(triple, tol)
-    j = triple.joint
-    return {
-        "epsilon": epsilon,
-        "theta": theta,
-        "p1": j.p1,
-        "p2": j.p2,
-        "p3": j.p3,
-        "p4": j.p4,
-        "E": _expectation(j),
-        "compatible": report.compatible,
-        "separated": report.separated,
-        "classical_joint": report.classical_joint,
-    }
+    cols = _landscape([epsilon], [theta], [u1.dot(u2)], tol)
+    return {key: column.item() for key, column in cols.items()}
 
 
 def scan(
@@ -146,47 +160,10 @@ def scan(
     angle theta; only that angle matters for the singlet statistics. The
     result is columnar: one array per :func:`classification_row` key, in
     that order, with one entry per grid point, epsilon outermost. Every
-    entry equals the one :func:`classification_row` gives for that point,
-    bit for bit.
+    entry equals, bit for bit, what :func:`~esphere.singlet.experiment_triple`
+    and :func:`~esphere.operational.classify` give for that point.
     """
     epsilons = [check_epsilon(e) for e in epsilons]
     thetas = [check_polar_angle(t) for t in thetas]
-    eps_prob = _eps(tol)
     pole = Direction.from_angles(0.0)
-    c = np.array([pole.dot(Direction.from_angles(t)) for t in thetas], dtype=np.float64)
-    # The center state projects to 0 on every axis, so each side measured
-    # alone has the same law at every theta.
-    center = BlochState.center()
-    alone = [outcome_probability(center, pole, e) for e in epsilons]
-    yes = np.array([m.p_yes for m in alone], dtype=np.float64)[:, None]
-    no = np.array([m.p_no for m in alone], dtype=np.float64)[:, None]
-    joint = np.empty((len(epsilons), len(thetas), 4))
-    for i, eps in enumerate(epsilons):
-        joint[i] = joint_law(c, eps)
-    p1, p2, p3, p4 = np.moveaxis(joint, -1, 0)
-    # operational.classify with left = right = (yes, no), term by term
-    compatible = (
-        (np.abs(yes - (p1 + p2)) <= eps_prob)
-        & (np.abs(no - (p3 + p4)) <= eps_prob)
-        & (np.abs(yes - (p1 + p3)) <= eps_prob)
-        & (np.abs(no - (p2 + p4)) <= eps_prob)
-    )
-    product = (
-        (np.abs(p1 - yes * yes) <= eps_prob)
-        & (np.abs(p2 - yes * no) <= eps_prob)
-        & (np.abs(p3 - no * yes) <= eps_prob)
-        & (np.abs(p4 - no * no) <= eps_prob)
-    )
-    classical_joint = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)) >= 1.0 - eps_prob
-    return {
-        "epsilon": np.repeat(np.array(epsilons, dtype=np.float64), len(thetas)),
-        "theta": np.tile(np.array(thetas, dtype=np.float64), len(epsilons)),
-        "p1": p1.ravel(),
-        "p2": p2.ravel(),
-        "p3": p3.ravel(),
-        "p4": p4.ravel(),
-        "E": ((p1 + p4) - (p2 + p3)).ravel(),  # the order of _expectation
-        "compatible": compatible.ravel(),
-        "separated": (product & compatible).ravel(),
-        "classical_joint": classical_joint.ravel(),
-    }
+    return _landscape(epsilons, thetas, [pole.dot(Direction.from_angles(t)) for t in thetas], tol)

@@ -322,9 +322,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Spell ``--thetas -0.0,1`` as ``--thetas=-0.0,1``: argparse would take the list for an option."""
+    attached: list[str] = []
+    for arg in argv:
+        if attached and attached[-1] in ("--epsilons", "--thetas") and arg[:1] == "-" and arg[:2] != "--":
+            attached[-1] += "=" + arg
+        else:
+            attached.append(arg)
+    return attached
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         _emit(args, args.func(args))
     except ValidationError as exc:

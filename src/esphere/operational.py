@@ -143,26 +143,43 @@ class ClassificationReport:
     separability_residuals: Residuals
 
 
-def compatibility_residuals(t: ExperimentTriple) -> Residuals:
-    """Absolute residuals of the four marginal-recovery equations."""
-    j = t.joint
-    return (
-        abs(t.left.p_yes - (j.p1 + j.p2)),
-        abs(t.left.p_no - (j.p3 + j.p4)),
-        abs(t.right.p_yes - (j.p1 + j.p3)),
-        abs(t.right.p_no - (j.p2 + j.p4)),
+def _verdicts(left_yes, left_no, right_yes, right_no, p1, p2, p3, p4, eps) -> tuple[ClassificationReport, bool]:
+    """The classification rule: the report on one triple, and whether its product equations hold.
+
+    Plain operators only, so the same lines decide one triple of floats and,
+    elementwise, a grid of numpy columns (every report field is then an
+    array): ``max(r) <= eps`` is a chain of ``&``, ``max(p) >= 1 - eps`` of ``|``.
+    """
+    comp = (
+        abs(left_yes - (p1 + p2)),
+        abs(left_no - (p3 + p4)),
+        abs(right_yes - (p1 + p3)),
+        abs(right_no - (p2 + p4)),
     )
+    sep = (
+        abs(p1 - left_yes * right_yes),
+        abs(p2 - left_yes * right_no),
+        abs(p3 - left_no * right_yes),
+        abs(p4 - left_no * right_no),
+    )
+    compatible = (comp[0] <= eps) & (comp[1] <= eps) & (comp[2] <= eps) & (comp[3] <= eps)
+    product = (sep[0] <= eps) & (sep[1] <= eps) & (sep[2] <= eps) & (sep[3] <= eps)
+    certain = 1.0 - eps
+    report = ClassificationReport(
+        compatible=compatible,
+        separated=product & compatible,
+        classical_left=(left_yes >= certain) | (left_no >= certain),
+        classical_right=(right_yes >= certain) | (right_no >= certain),
+        classical_joint=(p1 >= certain) | (p2 >= certain) | (p3 >= certain) | (p4 >= certain),
+        compatibility_residuals=comp,
+        separability_residuals=sep,
+    )
+    return (report, product)
 
 
-def separability_residuals(t: ExperimentTriple) -> Residuals:
-    """Absolute residuals of the four product equations."""
+def _triple_verdicts(t: ExperimentTriple, tol: Tolerance | float) -> tuple[ClassificationReport, bool]:
     j = t.joint
-    return (
-        abs(j.p1 - t.left.p_yes * t.right.p_yes),
-        abs(j.p2 - t.left.p_yes * t.right.p_no),
-        abs(j.p3 - t.left.p_no * t.right.p_yes),
-        abs(j.p4 - t.left.p_no * t.right.p_no),
-    )
+    return _verdicts(t.left.p_yes, t.left.p_no, t.right.p_yes, t.right.p_no, j.p1, j.p2, j.p3, j.p4, _eps(tol))
 
 
 def check_compatibility(
@@ -173,18 +190,19 @@ def check_compatibility(
     Returns the verdict together with the four residuals, which are
     reported regardless of the verdict.
     """
-    eps = _eps(tol)
-    residuals = compatibility_residuals(t)
-    return (max(residuals) <= eps, residuals)
+    report = classify(t, tol)
+    return (report.compatible, report.compatibility_residuals)
 
 
 def check_separability(
     t: ExperimentTriple, tol: Tolerance | float = DEFAULT_TOLERANCE
 ) -> tuple[bool, Residuals]:
-    """Decide whether the two tests are separated in this state."""
-    eps = _eps(tol)
-    residuals = separability_residuals(t)
-    return (max(residuals) <= eps, residuals)
+    """Decide whether the two tests are separated in this state.
+
+    Unlike ``ClassificationReport.separated``, the verdict does not also require compatibility.
+    """
+    report, product = _triple_verdicts(t, tol)
+    return (product, report.separability_residuals)
 
 
 def check_product_criterion(
@@ -201,31 +219,21 @@ def check_product_criterion(
 
 def is_classical_test(o: OutcomeProb, tol: Tolerance | float = DEFAULT_TOLERANCE) -> bool:
     """True when exactly one outcome is possible in this state."""
-    eps = _eps(tol)
-    return o.p_yes >= 1.0 - eps or o.p_no >= 1.0 - eps
+    # the verdict on one side reads neither the other side nor the joint
+    return _verdicts(o.p_yes, o.p_no, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, _eps(tol))[0].classical_left
 
 
 def is_classical_joint(j: JointOutcomeProb, tol: Tolerance | float = DEFAULT_TOLERANCE) -> bool:
     """True when a single outcome pair occurs with certainty."""
-    eps = _eps(tol)
-    return max(j.as_tuple()) >= 1.0 - eps
+    # the verdict on the joint reads neither side
+    return _verdicts(0.0, 0.0, 0.0, 0.0, j.p1, j.p2, j.p3, j.p4, _eps(tol))[0].classical_joint
 
 
 def classify(
     t: ExperimentTriple, tol: Tolerance | float = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
     """Run every predicate on one experiment triple."""
-    compatible, comp_res = check_compatibility(t, tol)
-    separated_raw, sep_res = check_separability(t, tol)
-    return ClassificationReport(
-        compatible=compatible,
-        separated=separated_raw and compatible,
-        classical_left=is_classical_test(t.left, tol),
-        classical_right=is_classical_test(t.right, tol),
-        classical_joint=is_classical_joint(t.joint, tol),
-        compatibility_residuals=comp_res,
-        separability_residuals=sep_res,
-    )
+    return _triple_verdicts(t, tol)[0]
 
 
 VESSEL_KINDS = ("alpha_alpha", "alpha_beta")

@@ -213,6 +213,12 @@ def simulate(
     order. The result therefore depends only on (spec, trials, seed),
     never on scheduling or worker count. Returns the empirical
     distribution and the raw outcome counts (x1, x2, x3, x4).
+
+    Subnormal epsilon biases the counts: a break point drawn uniformly from
+    [-epsilon, epsilon] is exactly 0 with probability about 2.5e-324 /
+    epsilon, and the tie answers yes. The first side measured then answers
+    yes in about 3/4 of the trials at epsilon = 5e-324, where the law says
+    1/2; the excess is under 0.002 from epsilon = 1e-321 on.
     """
     trials = check_trials(trials)
     seed = check_seed(seed)

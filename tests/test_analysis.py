@@ -21,7 +21,7 @@ from esphere import (
     scan,
 )
 
-from conftest import directions, epsilons
+from conftest import directions, epsilons, random_direction
 
 X_AXIS = Direction(1.0, 0.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)
@@ -233,12 +233,39 @@ class TestScan:
 SCHEMA = ["epsilon", "theta", "p1", "p2", "p3", "p4", "E", "compatible", "separated", "classical_joint"]
 
 
+def reference_row(epsilon, theta, u1, u2, tol):
+    """One landscape row from the scalar public path: experiment_triple, classify and E."""
+    triple = experiment_triple(u1, u2, epsilon)
+    report = classify(triple, tol)
+    p1, p2, p3, p4 = triple.joint.as_tuple()
+    return {
+        "epsilon": epsilon,
+        "theta": theta,
+        "p1": p1,
+        "p2": p2,
+        "p3": p3,
+        "p4": p4,
+        "E": (p1 + p4) - (p2 + p3),
+        "compatible": report.compatible,
+        "separated": report.separated,
+        "classical_joint": report.classical_joint,
+    }
+
+
+def assert_same_row(got, want):
+    """Same keys in the same order, same types, and floats equal bit for bit (repr tells -0.0 from 0.0)."""
+    assert list(got) == list(want) == SCHEMA
+    for key in SCHEMA:
+        assert type(got[key]) is type(want[key]), key
+        assert repr(got[key]) == repr(want[key]), key
+
+
 def assert_columns_match_rows(epsilons, thetas, tol):
-    """scan's columns equal classification_row at every grid point, bit for bit."""
+    """scan's columns equal the scalar path's rows at every grid point, bit for bit."""
     cols = scan(epsilons, thetas, tol)
     pole = Direction.from_angles(0.0)
     axes = [Direction.from_angles(t) for t in thetas]
-    rows = [classification_row(e, t, pole, u2, tol) for e in epsilons for t, u2 in zip(thetas, axes)]
+    rows = [reference_row(e, t, pole, u2, tol) for e in epsilons for t, u2 in zip(thetas, axes)]
     assert list(cols) == SCHEMA
     for key, column in cols.items():
         want = np.array([row[key] for row in rows])
@@ -277,6 +304,20 @@ class TestScanColumns:
             t = exact_theta(c)
             thetas += [t, math.nextafter(t, 0.0), math.nextafter(t, math.pi)]
         assert_columns_match_rows([eps], thetas, tol)
+        pole = Direction.from_angles(0.0)
+        for t in thetas:
+            u2 = Direction.from_angles(t)
+            assert_same_row(classification_row(eps, t, pole, u2, tol), reference_row(eps, t, pole, u2, tol))
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.25])
+    @pytest.mark.parametrize("eps", [-0.0, 0.0, 5e-324, 0.25, 0.7, 1.0])
+    def test_classification_row_off_the_plane(self, eps, tol):
+        rng = np.random.default_rng(20240819)
+        pairs = [(random_direction(rng), random_direction(rng)) for _ in range(20)]
+        pairs += [(X_AXIS, Z_AXIS), (Z_AXIS, Z_AXIS.opposite()), (Direction.from_angles(0.3, 1.0), Direction.from_angles(2.0, 4.0))]
+        for u1, u2 in pairs:
+            theta = math.acos(u1.dot(u2))
+            assert_same_row(classification_row(eps, theta, u1, u2, tol), reference_row(eps, theta, u1, u2, tol))
 
     def test_edge_thetas_reach_c_equal_to_plus_and_minus_epsilon(self):
         pole = Direction.from_angles(0.0)

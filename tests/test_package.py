@@ -11,7 +11,7 @@ def test_all_names_exactly_the_public_attributes():
         for name, value in vars(esphere).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(esphere.__all__) == len(set(esphere.__all__)) == 43
+    assert len(esphere.__all__) == len(set(esphere.__all__)) == 38
     assert set(esphere.__all__) == public | {"__version__"}
 
 

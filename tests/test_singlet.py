@@ -13,7 +13,6 @@ from esphere import (
     BLOCK_TRIALS,
     BlochState,
     Direction,
-    JointOutcome,
     JointTestSpec,
     MeasurementOrder,
     ValidationError,
@@ -21,10 +20,10 @@ from esphere import (
     classify,
     experiment_triple,
     joint_distribution_analytic,
-    run_joint_trial,
     simulate,
 )
-from esphere.singlet import _simulate_block, joint_law
+from esphere import singlet
+from esphere.singlet import JointOutcome, _simulate_block, joint_law, run_joint_trial
 
 from conftest import directions, positive_epsilons, random_direction
 
@@ -310,6 +309,65 @@ class TestSimulate:
             _, counts_left = simulate(left, 30_000, seed)
             _, counts_right = simulate(right, 30_000, seed)
             assert counts_right == (counts_left[0], counts_left[2], counts_left[1], counts_left[3])
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at subnormal epsilon the uniform draw lands on exactly 0 with large mass and the tie answers yes",
+    )
+    def test_subnormal_epsilon_matches_analytic_distribution(self) -> None:
+        u2 = Direction.from_angles(1.0)
+        spec = JointTestSpec(u1=Z_AXIS, u2=u2, epsilon=5e-324)
+        trials = 1000
+        freqs, _ = simulate(spec, trials, 1)
+        analytic = joint_distribution_analytic(Z_AXIS, u2, 5e-324)
+        for observed, expected in zip(freqs.as_tuple(), analytic.as_tuple()):
+            bound = 4.0 * math.sqrt(expected * (1.0 - expected) / trials)
+            assert abs(observed - expected) <= bound
+
+
+class InjectedDraws:
+    """A random stream that hands out the given break points in order.
+
+    Answers ``uniform(-eps, eps)`` with a scalar, as the single-trial
+    sampler asks, and ``uniform(-eps, eps, n)`` with an array of n copies,
+    as the block kernel asks.
+    """
+
+    def __init__(self, eps: float, draws: list[float]) -> None:
+        self.eps = eps
+        self.draws = list(draws)
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        assert (low, high) == (-self.eps, self.eps)
+        draw = self.draws.pop(0)
+        return draw if size is None else np.full(size, draw)
+
+
+def edge_draws(eps: float) -> list[float]:
+    """Break points -eps, 0 and +eps and the doubles on either side of each."""
+    points = {math.nextafter(x, toward) for x in (-eps, 0.0, eps) for toward in (-2.0, 2.0)}
+    return sorted(points | {-eps, 0.0, eps})
+
+
+class TestKernelAgainstSingleTrialSampler:
+    """The block kernel and run_joint_trial give the same outcome for the same break points."""
+
+    @pytest.mark.parametrize("eps", [5e-324, 0.25, 0.5, 1.0])
+    def test_same_outcome_trial_by_trial(self, eps: float, monkeypatch: pytest.MonkeyPatch) -> None:
+        kernel_stream: list[InjectedDraws] = []
+        monkeypatch.setattr(singlet.np.random, "default_rng", lambda seed: kernel_stream[-1])
+        draws = edge_draws(eps)
+        for c in edge_cosines(eps):
+            for order in MeasurementOrder:
+                spec = JointTestSpec(u1=Z_AXIS, u2=axis_at(c), epsilon=eps, order=order)
+                for first in draws:
+                    for second in draws:
+                        kernel_stream.append(InjectedDraws(eps, [first, second]))
+                        counts = _simulate_block(spec, 1, 0, 0)
+                        record = run_joint_trial(spec, InjectedDraws(eps, [first, second]))
+                        assert counts.tolist() == [int(i == record.outcome.index) for i in range(4)], (
+                            c, order, first, second
+                        )
 
 
 class TestExperimentTriple:
