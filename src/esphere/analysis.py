@@ -55,7 +55,7 @@ class ChshSetup:
     epsilon: float
 
     def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
 
     @classmethod
     def coplanar(

@@ -32,6 +32,7 @@ from .operational import Tolerance, classify, vessels_scenario
 from .singlet import (
     JointTestSpec,
     MeasurementOrder,
+    _relabel,
     joint_distribution_analytic,
     simulate,
 )
@@ -161,16 +162,13 @@ def cmd_simulate(args: argparse.Namespace) -> Columns:
     order = MeasurementOrder(args.order)
     spec = JointTestSpec(u1=u1, u2=u2, epsilon=args.epsilon, order=order)
     freqs, counts = simulate(spec, args.trials, args.seed)
-    analytic = joint_distribution_analytic(u1, u2, args.epsilon)
-    reference = list(analytic.as_tuple())
-    if args.epsilon == 0.0 and order is MeasurementOrder.RIGHT_FIRST:
-        # the deterministic certain outcome is labeled by who went first
-        reference[1], reference[2] = reference[2], reference[1]
+    # the analytic table is in measurement order, like the tallies
+    analytic = _relabel(joint_distribution_analytic(u1, u2, args.epsilon).as_tuple(), order)
     return {
         "outcome": np.array(["x1", "x2", "x3", "x4"]),
         "count": np.array(counts),
         "frequency": np.array(freqs.as_tuple()),
-        "analytic": np.array(reference),
+        "analytic": np.array(analytic),
     }
 
 

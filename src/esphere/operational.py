@@ -54,7 +54,7 @@ class Tolerance:
     eps_prob: float = 1e-9
 
     def __post_init__(self) -> None:
-        check_finite(self.eps_prob, "eps_prob")
+        object.__setattr__(self, "eps_prob", check_finite(self.eps_prob, "eps_prob"))
         if self.eps_prob <= 0.0:
             raise ValidationError(f"eps_prob must be > 0, got {self.eps_prob}")
 

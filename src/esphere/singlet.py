@@ -83,7 +83,7 @@ class JointTestSpec:
     order: MeasurementOrder = MeasurementOrder.LEFT_FIRST
 
     def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         if not isinstance(self.order, MeasurementOrder):
             raise ValidationError(f"order must be a MeasurementOrder, got {self.order!r}")
 
@@ -183,24 +183,25 @@ def run_joint_trial(spec: JointTestSpec, rng: np.random.Generator) -> TrialRecor
     )
 
 
-def _simulate_block(spec: JointTestSpec, n: int, block: int, seed: int) -> np.ndarray:
-    """Outcome counts of one block, from its own deterministic stream."""
+def _simulate_block(c: float, epsilon: float, n: int, block: int, seed: int) -> np.ndarray:
+    """Counts of one block in measurement order (first, second), from its own stream."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-    eps = spec.epsilon
-    c = spec.u1.dot(spec.u2)
-    # first particle sits at the center: projection 0, break always drawn
-    lam1 = rng.uniform(-eps, eps, n)
-    lam2 = rng.uniform(-eps, eps, n)
-    first_yes = lam1 <= 0.0
-    # dragged opposite the first eigenstate: projection is -c after yes, +c after no
-    a2 = np.where(first_yes, -c, c)
-    second_yes = np.where(np.abs(a2) >= eps, a2 >= eps, lam2 <= a2)
-    if spec.order is MeasurementOrder.LEFT_FIRST:
-        left_yes, right_yes = first_yes, second_yes
+    # the first particle sits at the center: projection 0, break always drawn
+    first_no = rng.uniform(-epsilon, epsilon, n) > 0.0
+    # dragged opposite the first eigenstate: projection is +c after no, -c after yes
+    a2 = np.where(first_no, c, -c)
+    if abs(c) >= epsilon:
+        second_no = a2 < epsilon
     else:
-        left_yes, right_yes = second_yes, first_yes
-    idx = np.where(left_yes, 0, 2) + np.where(right_yes, 0, 1)
-    return np.bincount(idx, minlength=4)
+        second_no = rng.uniform(-epsilon, epsilon, n) > a2
+    return np.bincount(2 * first_no + second_no, minlength=4)
+
+
+def _relabel(cells: tuple | list, order: MeasurementOrder) -> tuple:
+    """(x1, x2, x3, x4) of cells in measurement order: right-first swaps x2 and x3."""
+    if order is MeasurementOrder.RIGHT_FIRST:
+        return (cells[0], cells[2], cells[1], cells[3])
+    return tuple(cells)
 
 
 def simulate(
@@ -214,6 +215,10 @@ def simulate(
     never on scheduling or worker count. Returns the empirical
     distribution and the raw outcome counts (x1, x2, x3, x4).
 
+    Trials are tallied in measurement order (first, second); right-first
+    only swaps x2 and x3. Nothing is drawn at epsilon = 0, and no second
+    break point where the second answer is certain (|c| >= epsilon).
+
     Subnormal epsilon biases the counts: a break point drawn uniformly from
     [-epsilon, epsilon] is exactly 0 with probability about 2.5e-324 /
     epsilon, and the tie answers yes. The first side measured then answers
@@ -223,29 +228,19 @@ def simulate(
     trials = check_trials(trials)
     seed = check_seed(seed)
     eps = spec.epsilon
+    c = spec.u1.dot(spec.u2)
     if eps == 0.0:
-        # nothing is random: the tie rule answers yes on the first side,
-        # the dragged side answers by the sign of its projection
-        c = spec.u1.dot(spec.u2)
-        first_yes, second_yes = True, -c >= 0.0
-        if spec.order is MeasurementOrder.LEFT_FIRST:
-            outcome = JointOutcome.from_answers(first_yes, second_yes)
-        else:
-            outcome = JointOutcome.from_answers(second_yes, first_yes)
+        # the tie rule answers yes on the first side; the dragged side,
+        # at projection -c, answers no exactly when c > 0
         counts = [0, 0, 0, 0]
-        counts[outcome.index] = trials
+        counts[int(c > 0.0)] = trials
     else:
         totals = np.zeros(4, dtype=np.int64)
-        full_blocks, remainder = divmod(trials, BLOCK_TRIALS)
-        for block in range(full_blocks):
-            totals += _simulate_block(spec, BLOCK_TRIALS, block, seed)
-        if remainder:
-            totals += _simulate_block(spec, remainder, full_blocks, seed)
-        counts = [int(v) for v in totals]
-    freqs = JointOutcomeProb(
-        counts[0] / trials, counts[1] / trials, counts[2] / trials, counts[3] / trials
-    )
-    return (freqs, (counts[0], counts[1], counts[2], counts[3]))
+        for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+            totals += _simulate_block(c, eps, min(BLOCK_TRIALS, trials - start), block, seed)
+        counts = totals.tolist()
+    x1, x2, x3, x4 = _relabel(counts, spec.order)
+    return (JointOutcomeProb(x1 / trials, x2 / trials, x3 / trials, x4 / trials), (x1, x2, x3, x4))
 
 
 def experiment_triple(u1: Direction, u2: Direction, epsilon: float) -> ExperimentTriple:

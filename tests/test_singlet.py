@@ -247,7 +247,8 @@ class TestSimulate:
         spec = JointTestSpec(u1=Z_AXIS, u2=Direction.from_angles(0.9), epsilon=0.6)
         trials = BLOCK_TRIALS + 1000
         _, counts = simulate(spec, trials, 31)
-        expected = _simulate_block(spec, BLOCK_TRIALS, 0, 31) + _simulate_block(spec, 1000, 1, 31)
+        c = Z_AXIS.dot(spec.u2)
+        expected = _simulate_block(c, 0.6, BLOCK_TRIALS, 0, 31) + _simulate_block(c, 0.6, 1000, 1, 31)
         assert counts == tuple(int(v) for v in expected)
 
     def test_frequencies_sum_to_one_and_counts_to_trials(self) -> None:
@@ -350,9 +351,9 @@ def edge_draws(eps: float) -> list[float]:
 
 
 class TestKernelAgainstSingleTrialSampler:
-    """The block kernel and run_joint_trial give the same outcome for the same break points."""
+    """simulate and run_joint_trial give the same outcome for the same break points."""
 
-    @pytest.mark.parametrize("eps", [5e-324, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 0.25, 0.5, 1.0])
     def test_same_outcome_trial_by_trial(self, eps: float, monkeypatch: pytest.MonkeyPatch) -> None:
         kernel_stream: list[InjectedDraws] = []
         monkeypatch.setattr(singlet.np.random, "default_rng", lambda seed: kernel_stream[-1])
@@ -363,11 +364,82 @@ class TestKernelAgainstSingleTrialSampler:
                 for first in draws:
                     for second in draws:
                         kernel_stream.append(InjectedDraws(eps, [first, second]))
-                        counts = _simulate_block(spec, 1, 0, 0)
+                        _, counts = simulate(spec, 1, 0)
                         record = run_joint_trial(spec, InjectedDraws(eps, [first, second]))
-                        assert counts.tolist() == [int(i == record.outcome.index) for i in range(4)], (
+                        assert list(counts) == [int(i == record.outcome.index) for i in range(4)], (
                             c, order, first, second
                         )
+
+
+# The numpy release the pinned counts below were drawn with. NEP 19 lets the
+# Generator stream change between numpy versions, so elsewhere they skip.
+PINNED_NUMPY = "2.4.6"
+
+
+class TestSimulateGolden:
+    """Counts of simulate at epsilon > 0, pinned so the stream is consumed as it always was."""
+
+    @pytest.mark.skipif(
+        np.__version__ != PINNED_NUMPY,
+        reason=f"counts pinned under numpy {PINNED_NUMPY}; NEP 19 does not promise the same stream across versions",
+    )
+    @pytest.mark.parametrize(
+        ("u2", "eps", "order", "trials", "seed", "counts"),
+        [
+            # interior c, one full block plus a remainder, both orders
+            (Direction.from_angles(1.0), 0.6, MeasurementOrder.LEFT_FIRST, BLOCK_TRIALS + 1000, 31,
+             (1657, 31483, 31692, 1704)),
+            (Direction.from_angles(1.0), 0.6, MeasurementOrder.RIGHT_FIRST, BLOCK_TRIALS + 1000, 31,
+             (1657, 31692, 31483, 1704)),
+            # band-clamped c on either side
+            (Direction.from_angles(0.5), 0.3, MeasurementOrder.LEFT_FIRST, 5000, 7, (0, 2464, 2536, 0)),
+            (Direction.from_angles(2.8), 0.3, MeasurementOrder.RIGHT_FIRST, 5000, 7, (2464, 0, 0, 2536)),
+            # the quantum limit, inside the band and at its edge
+            (Direction.from_angles(2.0), 1.0, MeasurementOrder.RIGHT_FIRST, 10_000, 2024,
+             (3554, 1455, 1486, 3505)),
+            (Z_AXIS, 1.0, MeasurementOrder.LEFT_FIRST, 10_000, 2024, (0, 5040, 4960, 0)),
+            # the smallest epsilon, inside the band (c = 0) and clamped
+            (X_AXIS, 5e-324, MeasurementOrder.LEFT_FIRST, 1000, 1, (591, 162, 190, 57)),
+            (Direction.from_angles(1.0), 5e-324, MeasurementOrder.RIGHT_FIRST, 1000, 1, (0, 247, 753, 0)),
+        ],
+    )
+    def test_counts(
+        self, u2: Direction, eps: float, order: MeasurementOrder, trials: int, seed: int, counts: tuple
+    ) -> None:
+        spec = JointTestSpec(u1=Z_AXIS, u2=u2, epsilon=eps, order=order)
+        freqs, got = simulate(spec, trials, seed)
+        assert got == counts
+        assert freqs.as_tuple() == tuple(k / trials for k in counts)
+
+
+# Upper quantiles of the chi-square law at a false-alarm rate of 1e-6, by
+# degrees of freedom: a correct sampler exceeds them once in a million runs.
+CHI2_CRITICAL = {1: 23.928, 2: 27.631, 3: 30.665}
+
+
+def pearson_chi2(counts: tuple[int, ...], probs: tuple[float, ...]) -> tuple[float, int]:
+    """Pearson statistic and its degrees of freedom over the cells of nonzero probability."""
+    n = sum(counts)
+    assert all(k == 0 for k, p in zip(counts, probs) if p == 0.0)
+    expected = [(k, n * p) for k, p in zip(counts, probs) if p > 0.0]
+    return (sum((k - m) ** 2 / m for k, m in expected), len(expected) - 1)
+
+
+class TestGoodnessOfFit:
+    """simulate against the analytic law, one Pearson chi-square per fixed seed."""
+
+    @pytest.mark.parametrize("order", list(MeasurementOrder))
+    @pytest.mark.parametrize("eps", [0.3, 0.7, 1.0])
+    # c = 0.17 lies inside every band; c = -0.80 is clamped below 1; c = +-1 always clamps
+    @pytest.mark.parametrize("theta", [1.4, 2.5, 0.0, math.pi])
+    def test_counts_fit_the_law(self, theta: float, eps: float, order: MeasurementOrder) -> None:
+        u2 = Direction.from_angles(theta)
+        spec = JointTestSpec(u1=Z_AXIS, u2=u2, epsilon=eps, order=order)
+        probs = joint_distribution_analytic(Z_AXIS, u2, eps).as_tuple()
+        for seed in (11, 12, 13):
+            _, counts = simulate(spec, 20_000, seed)
+            stat, dof = pearson_chi2(counts, probs)
+            assert stat < CHI2_CRITICAL[dof], (seed, counts, probs)
 
 
 class TestExperimentTriple:
