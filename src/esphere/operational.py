@@ -36,6 +36,7 @@ from .validation import (
     check_finite,
     check_probability,
     check_unit_interval_sum,
+    store_checked,
 )
 
 Residuals = tuple[float, float, float, float]
@@ -76,8 +77,7 @@ class OutcomeProb:
     p_no: float
 
     def __post_init__(self) -> None:
-        check_probability(self.p_yes, "p_yes")
-        check_probability(self.p_no, "p_no")
+        store_checked(self, ("p_yes", "p_no"), check_probability)
         check_unit_interval_sum(self.p_yes + self.p_no, "p_yes + p_no")
 
     @classmethod
@@ -101,8 +101,7 @@ class JointOutcomeProb:
     p4: float
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2", "p3", "p4"):
-            check_probability(getattr(self, name), name)
+        store_checked(self, ("p1", "p2", "p3", "p4"), check_probability)
         check_unit_interval_sum(self.p1 + self.p2 + self.p3 + self.p4, "p1 + p2 + p3 + p4")
 
     def as_tuple(self) -> tuple[float, float, float, float]:

@@ -26,6 +26,8 @@ certain outcome follows the order (the analytic table uses left-first).
 from __future__ import annotations
 
 import enum
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,13 +190,68 @@ def _simulate_block(c: float, epsilon: float, n: int, block: int, seed: int) -> 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     # the first particle sits at the center: projection 0, break always drawn
     first_no = rng.uniform(-epsilon, epsilon, n) > 0.0
-    # dragged opposite the first eigenstate: projection is +c after no, -c after yes
-    a2 = np.where(first_no, c, -c)
-    if abs(c) >= epsilon:
-        second_no = a2 < epsilon
-    else:
-        second_no = rng.uniform(-epsilon, epsilon, n) > a2
-    return np.bincount(2 * first_no + second_no, minlength=4)
+    no1 = int(np.count_nonzero(first_no))
+    # dragged opposite the first eigenstate: projection is +c after no, -c after yes,
+    # so outside the band the first answer decides the second
+    if c >= epsilon:
+        return np.array((0, n - no1, no1, 0))
+    if c <= -epsilon:
+        return np.array((n - no1, 0, 0, no1))
+    lam2 = rng.uniform(-epsilon, epsilon, n)
+    second_no = np.where(first_no, lam2 > c, lam2 > -c)
+    no2 = int(np.count_nonzero(second_no))
+    both = int(np.count_nonzero(first_no & second_no))
+    return np.array((n - no1 - no2 + both, no2 - both, no1 - both, both))
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on, which bounds the threads of one simulation."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(c: float, epsilon: float, trials: int, seed: int) -> list[int]:
+    """Counts summed over every block of a simulation, one thread per available CPU at most.
+
+    The calling thread is one of the workers. Each takes the lowest block no
+    one has claimed until none is left; every helper is started and joined
+    here. Once a block raises, no new block starts, and the error of the
+    lowest failing block is raised after all threads are joined.
+    """
+    sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
+    workers = min(len(sizes), _available_cpus())
+    results: list = [None] * len(sizes)
+    errors: dict[int, BaseException] = {}
+    pending = list(range(len(sizes)))[::-1]
+
+    def work() -> None:
+        while True:
+            try:
+                block = pending.pop()
+            except IndexError:
+                return
+            try:
+                results[block] = _simulate_block(c, epsilon, sizes[block], block, seed)
+            except BaseException as exc:
+                errors[block] = exc
+                pending.clear()
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        pending.clear()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return sum(results).tolist()
 
 
 def _relabel(cells: tuple | list, order: MeasurementOrder) -> tuple:
@@ -211,9 +268,12 @@ def simulate(
 
     Trials are partitioned into fixed-size blocks; block b draws from a
     stream derived from (seed, b) alone, and counts are summed in block
-    order. The result therefore depends only on (spec, trials, seed),
-    never on scheduling or worker count. Returns the empirical
-    distribution and the raw outcome counts (x1, x2, x3, x4).
+    order. Two or more blocks run on up to one thread per CPU available
+    to the process, the calling thread included; no thread outlives the
+    call, and a single block starts none. The result therefore depends
+    only on (spec, trials, seed), never on scheduling or thread count.
+    Returns the empirical distribution and the raw outcome counts
+    (x1, x2, x3, x4).
 
     Trials are tallied in measurement order (first, second); right-first
     only swaps x2 and x3. Nothing is drawn at epsilon = 0, and no second
@@ -234,11 +294,10 @@ def simulate(
         # at projection -c, answers no exactly when c > 0
         counts = [0, 0, 0, 0]
         counts[int(c > 0.0)] = trials
+    elif trials <= BLOCK_TRIALS:
+        counts = _simulate_block(c, eps, trials, 0, seed).tolist()
     else:
-        totals = np.zeros(4, dtype=np.int64)
-        for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-            totals += _simulate_block(c, eps, min(BLOCK_TRIALS, trials - start), block, seed)
-        counts = totals.tolist()
+        counts = _run_blocks(c, eps, trials, seed)
     x1, x2, x3, x4 = _relabel(counts, spec.order)
     return (JointOutcomeProb(x1 / trials, x2 / trials, x3 / trials, x4 / trials), (x1, x2, x3, x4))
 

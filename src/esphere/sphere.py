@@ -39,6 +39,7 @@ from .validation import (
     check_epsilon,
     check_finite,
     check_polar_angle,
+    store_checked,
 )
 
 
@@ -62,8 +63,7 @@ class Direction:
     z: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            check_finite(getattr(self, name), name)
+        store_checked(self, ("x", "y", "z"), check_finite)
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if abs(norm - 1.0) > UNIT_ATOL:
             raise ValidationError(f"direction must have unit norm, got norm {norm}")
@@ -108,8 +108,7 @@ class BlochState:
     z: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            check_finite(getattr(self, name), name)
+        store_checked(self, ("x", "y", "z"), check_finite)
         if self.norm() > 1.0 + UNIT_ATOL:
             raise ValidationError(f"state must lie in the unit ball, got norm {self.norm()}")
 

@@ -8,6 +8,7 @@ tolerances; the defaults are meant for analytically computed inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 # Construction-time tolerance for probability vectors built from analytic
 # formulas or empirical frequencies (both land within a few ulp of exact).
@@ -20,13 +21,28 @@ UNIT_ATOL = 1e-12
 # 101 x 1001 landscape, whose JSON output is about 27 MB.
 MAX_GRID_POINTS = 1_000_000
 
-# Most Monte Carlo trials one simulation accepts: about 20 s at the
-# 50-60 Mtrials/s the block kernel measured on 2 cores (py3.11, numpy 2.4.6).
+# Most Monte Carlo trials one simulation accepts: `esphere simulate` at the
+# cap took about 11 s inside the band (|c| < epsilon) and 3.5 s where the
+# band clamps, with its blocks on 2 cores (py3.11, numpy 2.4.6).
 MAX_TRIALS = 10**9
 
 
 class ValidationError(ValueError):
     """An input violates its documented contract."""
+
+
+def store_checked(obj: object, names: tuple[str, ...], check: Callable[[object, str], float]) -> None:
+    """Run ``check(value, name)`` on each named field of a frozen dataclass.
+
+    A field that is not already a ``float`` is replaced by the checked
+    float, so strings, ints and bools are stored as floats. A float field
+    is left as it is, which keeps construction cheap on the common path.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        checked = check(value, name)
+        if type(value) is not float:
+            object.__setattr__(obj, name, checked)
 
 
 def check_finite(x: float, name: str) -> float:

@@ -54,6 +54,17 @@ class TestOutcomeProb:
         with pytest.raises(ValidationError):
             OutcomeProb(float("nan"), 0.5)
 
+    @pytest.mark.parametrize("p_yes,p_no", [("0.5", "0.5"), (True, False), (1, 0)])
+    def test_stores_float_fields(self, p_yes, p_no) -> None:
+        o = OutcomeProb(p_yes, p_no)
+        assert (type(o.p_yes), type(o.p_no)) == (float, float)
+        assert (o.p_yes, o.p_no) == (float(p_yes), float(p_no))
+
+    @pytest.mark.parametrize("bad", ["abc", None])
+    def test_rejects_non_numbers(self, bad) -> None:
+        with pytest.raises(ValidationError):
+            OutcomeProb(bad, 0.5)
+
 
 class TestJointOutcomeProb:
     def test_as_tuple_orders_fields(self) -> None:
@@ -66,6 +77,17 @@ class TestJointOutcomeProb:
     def test_rejects_invalid(self, values: tuple) -> None:
         with pytest.raises(ValidationError):
             JointOutcomeProb(*values)
+
+    @pytest.mark.parametrize("values", [("0.25", "0.25", "0.25", "0.25"), (True, False, False, False)])
+    def test_stores_float_fields(self, values: tuple) -> None:
+        j = JointOutcomeProb(*values)
+        assert [type(p) for p in j.as_tuple()] == [float] * 4
+        assert j.as_tuple() == tuple(float(p) for p in values)
+
+    @pytest.mark.parametrize("bad", ["abc", None])
+    def test_rejects_non_numbers(self, bad) -> None:
+        with pytest.raises(ValidationError):
+            JointOutcomeProb(bad, 0.25, 0.25, 0.25)
 
 
 class TestTolerance:

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +374,97 @@ class TestKernelAgainstSingleTrialSampler:
                         assert list(counts) == [int(i == record.outcome.index) for i in range(4)], (
                             c, order, first, second
                         )
+
+
+def serial_counts(spec: JointTestSpec, trials: int, seed: int) -> tuple[int, ...]:
+    """Counts of simulate rebuilt one block at a time, summed in block order, relabelled by order."""
+    c = spec.u1.dot(spec.u2)
+    total = np.zeros(4, dtype=np.int64)
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        total += _simulate_block(c, spec.epsilon, min(BLOCK_TRIALS, trials - start), block, seed)
+    x1, x2, x3, x4 = (int(v) for v in total)
+    return (x1, x3, x2, x4) if spec.order is MeasurementOrder.RIGHT_FIRST else (x1, x2, x3, x4)
+
+
+class TestWorkerCount:
+    """Counts depend on (spec, trials, seed) alone, however many threads run the blocks."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("trials", [1000, 2 * BLOCK_TRIALS, 3 * BLOCK_TRIALS + 1234])
+    @pytest.mark.parametrize("order", list(MeasurementOrder))
+    @pytest.mark.parametrize(
+        ("c", "eps"), [(0.3, 0.6), (0.8, 0.6), (-0.6, 0.6), (0.0, 5e-324), (-0.5, 5e-324)]
+    )
+    def test_counts_equal_the_serial_block_sum(
+        self, c: float, eps: float, order: MeasurementOrder, trials: int, workers: int,
+        monkeypatch: pytest.MonkeyPatch,
+    ) -> None:
+        monkeypatch.setattr(singlet, "_available_cpus", lambda: workers)
+        spec = JointTestSpec(u1=Z_AXIS, u2=axis_at(c), epsilon=eps, order=order)
+        freqs, counts = simulate(spec, trials, 77)
+        assert counts == serial_counts(spec, trials, 77)
+        assert freqs.as_tuple() == tuple(k / trials for k in counts)
+
+
+    def test_more_threads_than_cores_with_a_short_switch_interval(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        # a block lost or run twice between threads would change the counts
+        monkeypatch.setattr(singlet, "_available_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for c, seed in ((0.8, 3), (-0.8, 4), (0.3, 5)):
+                spec = JointTestSpec(u1=Z_AXIS, u2=axis_at(c), epsilon=0.6)
+                _, counts = simulate(spec, 20 * BLOCK_TRIALS + 5, seed)
+                assert counts == serial_counts(spec, 20 * BLOCK_TRIALS + 5, seed)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class BlockFailed(Exception):
+    pass
+
+
+class TestThreadHygiene:
+    def test_one_block_starts_no_thread(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-block simulation started a thread")
+
+        monkeypatch.setattr(singlet, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        spec = JointTestSpec(u1=Z_AXIS, u2=axis_at(0.3), epsilon=0.6)
+        _, counts = simulate(spec, BLOCK_TRIALS, 5)
+        assert sum(counts) == BLOCK_TRIALS
+
+    def test_no_thread_outlives_a_multi_block_call(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        monkeypatch.setattr(singlet, "_available_cpus", lambda: 3)
+        spec = JointTestSpec(u1=Z_AXIS, u2=axis_at(0.3), epsilon=0.6)
+        before = threading.active_count()
+        simulate(spec, 5 * BLOCK_TRIALS + 1, 5)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_block_error_reaches_the_caller(self, workers: int, monkeypatch: pytest.MonkeyPatch) -> None:
+        def fail_on_block_one(c, epsilon, n, block, seed):
+            if block == 1:
+                raise BlockFailed("block 1")
+            return _simulate_block(c, epsilon, n, block, seed)
+
+        monkeypatch.setattr(singlet, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(singlet, "_simulate_block", fail_on_block_one)
+        spec = JointTestSpec(u1=Z_AXIS, u2=axis_at(0.3), epsilon=0.6)
+        before = threading.active_count()
+        with pytest.raises(BlockFailed, match="block 1"):
+            simulate(spec, 4 * BLOCK_TRIALS, 5)
+        assert threading.active_count() == before
+
+    def test_cli_import_leaves_out_concurrent_futures(self) -> None:
+        src = str(Path(singlet.__file__).resolve().parents[1])
+        code = "import sys, esphere.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "False"
 
 
 # The numpy release the pinned counts below were drawn with. NEP 19 lets the

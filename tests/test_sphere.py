@@ -111,6 +111,17 @@ class TestDirection:
         with pytest.raises(ValidationError):
             Direction(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("xyz", [("0", "0", "1"), (False, False, True), (0, 0, 1)])
+    def test_stores_float_fields(self, xyz: tuple) -> None:
+        u = Direction(*xyz)
+        assert [type(v) for v in (u.x, u.y, u.z)] == [float] * 3
+        assert (u.x, u.y, u.z) == (0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", ["abc", None])
+    def test_rejects_non_numbers(self, bad) -> None:
+        with pytest.raises(ValidationError):
+            Direction(0.0, 0.0, bad)
+
     def test_rejects_zero_normalization(self) -> None:
         with pytest.raises(ValidationError):
             Direction.normalized(0.0, 0.0, 0.0)
@@ -132,6 +143,17 @@ class TestBlochState:
 
     def test_surface_point_is_pure(self) -> None:
         assert BlochState.from_direction(Z_AXIS).is_pure
+
+    @pytest.mark.parametrize("xyz", [("0", "0", "0.5"), (False, False, True), (0, 0, 1)])
+    def test_stores_float_fields(self, xyz: tuple) -> None:
+        s = BlochState(*xyz)
+        assert [type(v) for v in (s.x, s.y, s.z)] == [float] * 3
+        assert (s.x, s.y, s.z) == tuple(float(v) for v in xyz)
+
+    @pytest.mark.parametrize("bad", ["abc", None])
+    def test_rejects_non_numbers(self, bad) -> None:
+        with pytest.raises(ValidationError):
+            BlochState(0.0, bad, 0.0)
 
     def test_rejects_outside_ball(self) -> None:
         with pytest.raises(ValidationError):
