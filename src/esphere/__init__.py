@@ -35,7 +35,6 @@ from .sphere import (
     DensityMatrix,
     Direction,
     MeasurementOutcome,
-    Spinor,
     from_density_matrix,
     outcome_probability,
     projection,
@@ -77,7 +76,6 @@ __all__ = [
     "JointTestSpec",
     "MeasurementOutcome",
     "OutcomeProb",
-    "Spinor",
     "MeasurementOrder",
     "Tolerance",
     "ValidationError",

@@ -26,7 +26,7 @@ import numpy as np
 from .operational import DEFAULT_TOLERANCE, Tolerance, _eps, _verdicts
 from .singlet import joint_distribution_analytic, joint_law
 from .sphere import BlochState, Direction, outcome_probability
-from .validation import check_epsilon, check_polar_angle
+from .validation import ValidationError, check_epsilon, check_polar_angle
 
 # Coplanar polar angles (left pair, right pair) realizing both extremes of
 # the CHSH law: 2*sqrt(2) at epsilon = 1 and 4 at epsilon = 0.
@@ -55,6 +55,10 @@ class ChshSetup:
     epsilon: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "a_prime", "b", "b_prime"):
+            value = getattr(self, name)
+            if not isinstance(value, Direction):
+                raise ValidationError(f"{name} must be a Direction, got {value!r}")
         object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
 
     @classmethod
@@ -145,7 +149,7 @@ def classification_row(
     ``theta`` is the relative angle of u1 and u2, recorded as given, and
     the values are plain Python floats and bools.
     """
-    cols = _landscape([epsilon], [theta], [u1.dot(u2)], tol)
+    cols = _landscape([epsilon], [check_polar_angle(theta)], [u1.dot(u2)], tol)
     return {key: column.item() for key, column in cols.items()}
 
 

@@ -66,7 +66,7 @@ DEFAULT_TOLERANCE = Tolerance()
 def _eps(tol: Tolerance | float) -> float:
     if isinstance(tol, Tolerance):
         return tol.eps_prob
-    return Tolerance(float(tol)).eps_prob
+    return Tolerance(tol).eps_prob
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operational import ExperimentTriple, JointOutcomeProb
-from .sphere import BlochState, Direction, outcome_probability, sample_measurement
+from .sphere import BlochState, Direction, outcome_probability
 from .validation import ValidationError, check_epsilon, check_seed, check_trials
 
 # Trials per deterministic simulation block: blocks own independent random
@@ -49,32 +49,6 @@ class MeasurementOrder(enum.Enum):
     RIGHT_FIRST = "right-first"
 
 
-class JointOutcome(enum.Enum):
-    """The four outcomes of a joint test, in (left, right) order."""
-
-    X1 = (True, True)
-    X2 = (True, False)
-    X3 = (False, True)
-    X4 = (False, False)
-
-    @property
-    def left_yes(self) -> bool:
-        return self.value[0]
-
-    @property
-    def right_yes(self) -> bool:
-        return self.value[1]
-
-    @classmethod
-    def from_answers(cls, left_yes: bool, right_yes: bool) -> "JointOutcome":
-        return cls((left_yes, right_yes))
-
-    @property
-    def index(self) -> int:
-        """Position in (p1, p2, p3, p4), zero-based."""
-        return 2 * (not self.left_yes) + (not self.right_yes)
-
-
 @dataclass(frozen=True, slots=True)
 class JointTestSpec:
     """A joint test: one direction per side, one elastic length, an order."""
@@ -85,18 +59,13 @@ class JointTestSpec:
     order: MeasurementOrder = MeasurementOrder.LEFT_FIRST
 
     def __post_init__(self) -> None:
+        for name in ("u1", "u2"):
+            value = getattr(self, name)
+            if not isinstance(value, Direction):
+                raise ValidationError(f"{name} must be a Direction, got {value!r}")
         object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         if not isinstance(self.order, MeasurementOrder):
             raise ValidationError(f"order must be a MeasurementOrder, got {self.order!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One sampled joint trial: outcome and both collapsed surface states."""
-
-    outcome: JointOutcome
-    post_left: BlochState
-    post_right: BlochState
 
 
 def joint_distribution_analytic(u1: Direction, u2: Direction, epsilon: float) -> JointOutcomeProb:
@@ -151,38 +120,6 @@ def joint_law(c: np.ndarray, epsilon: float) -> np.ndarray:
     p_same = np.where(above, 0.0, np.where(below, 0.5, p_same))
     p_diff = np.where(above, 0.5, np.where(below, 0.0, p_diff))
     return np.stack([p_same, p_diff, p_diff, p_same], axis=-1)
-
-
-def run_joint_trial(spec: JointTestSpec, rng: np.random.Generator) -> TrialRecord:
-    """Sample one sequential joint test on the singlet preparation.
-
-    Both particles start at their sphere centers, joined by the rod. The
-    first side collapses under its elastic measurement; the rod drags the
-    other particle to the diametrically opposite surface point and
-    disengages; the second side is then an ordinary single-sphere trial.
-    """
-    if spec.order is MeasurementOrder.LEFT_FIRST:
-        first_dir, second_dir = spec.u1, spec.u2
-    else:
-        first_dir, second_dir = spec.u2, spec.u1
-
-    first_outcome, first_post = sample_measurement(
-        BlochState.center(), first_dir, spec.epsilon, rng
-    )
-    dragged = BlochState(-first_post.x, -first_post.y, -first_post.z)
-    second_outcome, second_post = sample_measurement(dragged, second_dir, spec.epsilon, rng)
-
-    if spec.order is MeasurementOrder.LEFT_FIRST:
-        left_yes, right_yes = first_outcome.is_yes, second_outcome.is_yes
-        post_left, post_right = first_post, second_post
-    else:
-        left_yes, right_yes = second_outcome.is_yes, first_outcome.is_yes
-        post_left, post_right = second_post, first_post
-    return TrialRecord(
-        outcome=JointOutcome.from_answers(left_yes, right_yes),
-        post_left=post_left,
-        post_right=post_right,
-    )
 
 
 def _simulate_block(c: float, epsilon: float, n: int, block: int, seed: int) -> np.ndarray:

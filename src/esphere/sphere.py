@@ -24,7 +24,6 @@ classical; intermediate values interpolate between the two regimes.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -83,8 +82,7 @@ class Direction:
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "Direction":
         """Rescale an arbitrary nonzero vector onto the unit sphere."""
-        for value, name in ((x, "x"), (y, "y"), (z, "z")):
-            check_finite(value, name)
+        x, y, z = check_finite(x, "x"), check_finite(y, "y"), check_finite(z, "z")
         norm = math.sqrt(x * x + y * y + z * z)
         if norm < 1e-12:
             raise ValidationError("cannot normalize a (near-)zero vector to a direction")
@@ -140,49 +138,6 @@ class BlochState:
 
 
 @dataclass(frozen=True, slots=True)
-class Spinor:
-    """Normalized two-component amplitude vector for a pure state.
-
-    The conventional parametrization is
-    ``(cos(theta/2) e^{-i phi/2}, sin(theta/2) e^{i phi/2})``, which maps to
-    the surface point at polar angle theta and azimuth phi.
-    """
-
-    c0: complex
-    c1: complex
-
-    def __post_init__(self) -> None:
-        for name in ("c0", "c1"):
-            value = getattr(self, name)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-        total = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(total - 1.0) > UNIT_ATOL:
-            raise ValidationError(f"spinor must be normalized, got |c0|^2 + |c1|^2 = {total}")
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float = 0.0) -> "Spinor":
-        theta = check_polar_angle(theta)
-        phi = check_azimuthal_angle(phi)
-        half_phase = cmath.exp(-0.5j * phi)
-        return cls(math.cos(0.5 * theta) * half_phase, math.sin(0.5 * theta) * half_phase.conjugate())
-
-    def to_bloch(self) -> BlochState:
-        """Surface point of this pure state."""
-        cross = self.c0 * self.c1.conjugate()
-        return BlochState(2.0 * cross.real, -2.0 * cross.imag, abs(self.c0) ** 2 - abs(self.c1) ** 2)
-
-    def density_matrix(self) -> "DensityMatrix":
-        """Rank-1 projector |psi><psi|."""
-        return DensityMatrix(
-            d00=self.c0 * self.c0.conjugate(),
-            d01=self.c0 * self.c1.conjugate(),
-            d10=self.c1 * self.c0.conjugate(),
-            d11=self.c1 * self.c1.conjugate(),
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """2x2 Hermitian, trace-1, positive semidefinite matrix."""
 
@@ -194,8 +149,13 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         for name in ("d00", "d01", "d10", "d11"):
             value = getattr(self, name)
+            try:
+                value = complex(value)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{name} must be a number, got {value!r}") from exc
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if abs(self.d00.imag) > UNIT_ATOL or abs(self.d11.imag) > UNIT_ATOL:
             raise ValidationError("density matrix must be Hermitian: diagonal entries must be real")
         if abs(self.d01 - self.d10.conjugate()) > UNIT_ATOL:

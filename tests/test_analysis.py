@@ -151,6 +151,12 @@ class TestChsh:
         with pytest.raises(ValidationError):
             ChshSetup.coplanar(1.2)
 
+    @pytest.mark.parametrize("field", ["a", "a_prime", "b", "b_prime"])
+    def test_setup_rejects_non_directions(self, field):
+        settings = dict(a=Z_AXIS, a_prime=X_AXIS, b=Z_AXIS, b_prime=X_AXIS, epsilon=0.5)
+        with pytest.raises(ValidationError):
+            ChshSetup(**{**settings, field: None})
+
 
 class TestScan:
     def test_grid_shape_and_order(self):
@@ -318,6 +324,11 @@ class TestScanColumns:
         for u1, u2 in pairs:
             theta = math.acos(u1.dot(u2))
             assert_same_row(classification_row(eps, theta, u1, u2, tol), reference_row(eps, theta, u1, u2, tol))
+
+    @pytest.mark.parametrize("theta", [math.nan, "x", -0.1, math.pi + 0.1])
+    def test_classification_row_rejects_bad_theta(self, theta):
+        with pytest.raises(ValidationError):
+            classification_row(0.5, theta, Z_AXIS, X_AXIS)
 
     def test_edge_thetas_reach_c_equal_to_plus_and_minus_epsilon(self):
         pole = Direction.from_angles(0.0)

@@ -248,6 +248,11 @@ class TestDeterministicMarginals:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("bad", ["abc", None])
+    def test_rejects_bad_plain_tolerance(self, bad) -> None:
+        with pytest.raises(ValidationError):
+            classify(triple(HALF, HALF, 0.0, 0.5, 0.5, 0.0), bad)
+
     def test_singlet_aligned_triple(self) -> None:
         report = classify(triple(HALF, HALF, 0.0, 0.5, 0.5, 0.0))
         assert report.compatible

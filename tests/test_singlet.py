@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +27,13 @@ from esphere import (
     classify,
     experiment_triple,
     joint_distribution_analytic,
+    sample_measurement,
     simulate,
 )
 from esphere import singlet
-from esphere.singlet import JointOutcome, _simulate_block, joint_law, run_joint_trial
+from esphere.singlet import _simulate_block, joint_law
 
-from conftest import directions, positive_epsilons, random_direction
+from conftest import directions, epsilons, positive_epsilons, random_direction
 
 X_AXIS = Direction(1.0, 0.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)
@@ -53,19 +56,6 @@ def at_unnormalised_joint_points(test):
     return test
 
 
-class TestJointOutcome:
-    def test_answer_pairs(self) -> None:
-        assert JointOutcome.X1.left_yes and JointOutcome.X1.right_yes
-        assert JointOutcome.X2.left_yes and not JointOutcome.X2.right_yes
-        assert not JointOutcome.X3.left_yes and JointOutcome.X3.right_yes
-        assert not JointOutcome.X4.left_yes and not JointOutcome.X4.right_yes
-
-    def test_round_trip_with_indices(self) -> None:
-        for i, outcome in enumerate((JointOutcome.X1, JointOutcome.X2, JointOutcome.X3, JointOutcome.X4)):
-            assert outcome.index == i
-            assert JointOutcome.from_answers(outcome.left_yes, outcome.right_yes) is outcome
-
-
 class TestJointTestSpec:
     def test_rejects_bad_epsilon(self) -> None:
         with pytest.raises(ValidationError):
@@ -74,6 +64,11 @@ class TestJointTestSpec:
     def test_rejects_bad_order(self) -> None:
         with pytest.raises(ValidationError):
             JointTestSpec(u1=Z_AXIS, u2=X_AXIS, epsilon=0.5, order="left-first")
+
+    @pytest.mark.parametrize("axes", [(None, X_AXIS), (Z_AXIS, None), (None, None), (Z_AXIS, (1.0, 0.0, 0.0))])
+    def test_rejects_non_directions(self, axes: tuple) -> None:
+        with pytest.raises(ValidationError):
+            JointTestSpec(u1=axes[0], u2=axes[1], epsilon=0.5)
 
 
 class TestAnalyticDistribution:
@@ -185,34 +180,71 @@ class TestJointLaw:
             joint_law(np.zeros(3), 1.5)
 
 
+def assert_exact_sums(cells: list[float]) -> None:
+    """Every cell is a multiple of 2^-53, and every left-to-right sum of the four is exact and totals 1."""
+    exact = [Fraction(p) for p in cells]
+    assert all((q * 2**53).denominator == 1 for q in exact), cells
+    for order in itertools.permutations(range(4)):
+        total, exact_total = 0.0, Fraction(0)
+        for i in order:
+            total += cells[i]
+            exact_total += exact[i]
+            assert Fraction(total) == exact_total, (cells, order)
+        assert total == 1.0
+
+
+def at_exact_sum_edges(test):
+    """Replay c = +-eps and its neighbours at eps in {0, 5e-324, 1}, plus identical and opposite axes."""
+    tilted = Direction.from_angles(1.0, 2.0)
+    pairs = [(Z_AXIS, axis_at(c), eps) for eps in (0.0, 5e-324, 1.0) for c in edge_cosines(eps)]
+    pairs += [(u1, u2, eps) for u1, u2 in ((tilted, tilted), (tilted, tilted.opposite())) for eps in (0.0, 0.5)]
+    for u1, u2, eps in pairs:
+        test = example(u1, u2, eps)(test)
+    return test
+
+
+class TestExactSums:
+    """The analytic law's cells sit on the 2^-53 grid, so every summation order is exact."""
+
+    @given(directions(), directions(), epsilons())
+    @at_exact_sum_edges
+    @at_unnormalised_joint_points
+    def test_scalar_and_array_law(self, u1: Direction, u2: Direction, eps: float) -> None:
+        assert_exact_sums(list(joint_distribution_analytic(u1, u2, eps).as_tuple()))
+        assert_exact_sums(joint_law(np.array([u1.dot(u2)]), eps)[0].tolist())
+
+
+def reference_trial(spec: JointTestSpec, rng) -> int:
+    """One joint trial from two single-sphere trials: the index 0-3 of its (left, right) cell.
+
+    The first side measured collapses from its center; the rod drags the
+    partner opposite that eigenstate, where the second side is measured.
+    """
+    right_first = spec.order is MeasurementOrder.RIGHT_FIRST
+    first_dir, second_dir = (spec.u2, spec.u1) if right_first else (spec.u1, spec.u2)
+    first, post = sample_measurement(BlochState.center(), first_dir, spec.epsilon, rng)
+    second, _ = sample_measurement(BlochState(-post.x, -post.y, -post.z), second_dir, spec.epsilon, rng)
+    left, right = (second, first) if right_first else (first, second)
+    return 2 * (not left.is_yes) + (not right.is_yes)
+
+
 class TestRunJointTrial:
     def test_aligned_quantum_trials_never_agree(self) -> None:
         spec = JointTestSpec(u1=Z_AXIS, u2=Z_AXIS, epsilon=1.0)
         rng = np.random.default_rng(5)
-        outcomes = {run_joint_trial(spec, rng).outcome for _ in range(500)}
-        assert outcomes <= {JointOutcome.X2, JointOutcome.X3}
-        assert len(outcomes) == 2
-
-    def test_collapsed_states_sit_on_the_test_axes(self) -> None:
-        spec = JointTestSpec(u1=Z_AXIS, u2=TILTED_HALF, epsilon=0.9)
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            record = run_joint_trial(spec, rng)
-            expected_left = Z_AXIS if record.outcome.left_yes else Z_AXIS.opposite()
-            expected_right = TILTED_HALF if record.outcome.right_yes else TILTED_HALF.opposite()
-            assert record.post_left == BlochState.from_direction(expected_left)
-            assert record.post_right == BlochState.from_direction(expected_right)
+        outcomes = {reference_trial(spec, rng) for _ in range(500)}
+        assert outcomes == {1, 2}
 
     def test_deterministic_limit_tracks_the_order(self) -> None:
         rng = np.random.default_rng(0)
         left_first = JointTestSpec(u1=Z_AXIS, u2=TILTED_HALF, epsilon=0.0)
-        assert run_joint_trial(left_first, rng).outcome is JointOutcome.X2
+        assert reference_trial(left_first, rng) == 1
         right_first = JointTestSpec(
             u1=Z_AXIS, u2=TILTED_HALF, epsilon=0.0, order=MeasurementOrder.RIGHT_FIRST
         )
-        assert run_joint_trial(right_first, rng).outcome is JointOutcome.X3
+        assert reference_trial(right_first, rng) == 2
         agreeing = JointTestSpec(u1=Z_AXIS, u2=TILTED_MINUS_HALF, epsilon=0.0)
-        assert run_joint_trial(agreeing, rng).outcome is JointOutcome.X1
+        assert reference_trial(agreeing, rng) == 0
 
     def test_second_test_frequency_conditioned_on_first_yes(self) -> None:
         # dragged opposite the first eigenstate, the second projection is
@@ -223,10 +255,11 @@ class TestRunJointTrial:
         first_yes = 0
         both_yes = 0
         for _ in range(20_000):
-            record = run_joint_trial(spec, rng)
-            if record.outcome.left_yes:
+            cell = reference_trial(spec, rng)
+            # cells 0 and 1 answer yes on the left, cell 0 on both sides
+            if cell < 2:
                 first_yes += 1
-                both_yes += record.outcome.right_yes
+                both_yes += cell == 0
         expected = (eps - c) / (2.0 * eps)
         bound = 4.0 * math.sqrt(expected * (1.0 - expected) / first_yes)
         assert abs(both_yes / first_yes - expected) <= bound
@@ -296,7 +329,7 @@ class TestSimulate:
         trials = 20_000
         counts = [0, 0, 0, 0]
         for _ in range(trials):
-            counts[run_joint_trial(spec, rng).outcome.index] += 1
+            counts[reference_trial(spec, rng)] += 1
         analytic = joint_distribution_analytic(Z_AXIS, u2, 0.85)
         for observed, expected in zip(counts, analytic.as_tuple()):
             bound = 4.0 * math.sqrt(expected * (1.0 - expected) / trials)
@@ -334,8 +367,8 @@ class TestSimulate:
 class InjectedDraws:
     """A random stream that hands out the given break points in order.
 
-    Answers ``uniform(-eps, eps)`` with a scalar, as the single-trial
-    sampler asks, and ``uniform(-eps, eps, n)`` with an array of n copies,
+    Answers ``uniform(-eps, eps)`` with a scalar, as ``reference_trial``
+    asks, and ``uniform(-eps, eps, n)`` with an array of n copies,
     as the block kernel asks.
     """
 
@@ -356,7 +389,7 @@ def edge_draws(eps: float) -> list[float]:
 
 
 class TestKernelAgainstSingleTrialSampler:
-    """simulate and run_joint_trial give the same outcome for the same break points."""
+    """simulate and reference_trial give the same outcome for the same break points."""
 
     @pytest.mark.parametrize("eps", [0.0, 5e-324, 0.25, 0.5, 1.0])
     def test_same_outcome_trial_by_trial(self, eps: float, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -370,8 +403,8 @@ class TestKernelAgainstSingleTrialSampler:
                     for second in draws:
                         kernel_stream.append(InjectedDraws(eps, [first, second]))
                         _, counts = simulate(spec, 1, 0)
-                        record = run_joint_trial(spec, InjectedDraws(eps, [first, second]))
-                        assert list(counts) == [int(i == record.outcome.index) for i in range(4)], (
+                        cell = reference_trial(spec, InjectedDraws(eps, [first, second]))
+                        assert list(counts) == [int(i == cell) for i in range(4)], (
                             c, order, first, second
                         )
 

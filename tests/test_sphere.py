@@ -14,7 +14,6 @@ from esphere import (
     DensityMatrix,
     Direction,
     MeasurementOutcome,
-    Spinor,
     ValidationError,
     from_density_matrix,
     is_classical_test,
@@ -122,6 +121,14 @@ class TestDirection:
         with pytest.raises(ValidationError):
             Direction(0.0, 0.0, bad)
 
+    def test_normalized_accepts_numeric_strings(self) -> None:
+        assert Direction.normalized("3", "0", "4") == Direction.normalized(3.0, 0.0, 4.0)
+
+    @pytest.mark.parametrize("bad", ["abc", None])
+    def test_normalized_rejects_non_numbers(self, bad) -> None:
+        with pytest.raises(ValidationError):
+            Direction.normalized(0.0, 0.0, bad)
+
     def test_rejects_zero_normalization(self) -> None:
         with pytest.raises(ValidationError):
             Direction.normalized(0.0, 0.0, 0.0)
@@ -160,34 +167,6 @@ class TestBlochState:
             BlochState(1.1, 0.0, 0.0)
         with pytest.raises(ValidationError):
             BlochState.from_angles(1.5, 0.0, 0.0)
-
-
-class TestSpinor:
-    def test_rejects_unnormalized(self) -> None:
-        with pytest.raises(ValidationError):
-            Spinor(1.0 + 0.0j, 1.0 + 0.0j)
-
-    @given(
-        st.floats(min_value=0.0, max_value=math.pi),
-        st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
-    )
-    def test_maps_to_surface_point(self, theta: float, phi: float) -> None:
-        psi = Spinor.from_angles(theta, phi)
-        point = psi.to_bloch()
-        reference = BlochState.from_angles(1.0, theta, phi)
-        assert point.x == pytest.approx(reference.x, abs=1e-12)
-        assert point.y == pytest.approx(reference.y, abs=1e-12)
-        assert point.z == pytest.approx(reference.z, abs=1e-12)
-
-    @given(
-        st.floats(min_value=0.0, max_value=math.pi),
-        st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
-    )
-    def test_outer_product_matches_surface_density_matrix(self, theta: float, phi: float) -> None:
-        psi = Spinor.from_angles(theta, phi)
-        via_state = to_density_matrix(BlochState.from_angles(1.0, theta, phi)).as_array()
-        via_outer = psi.density_matrix().as_array()
-        assert np.allclose(via_state, via_outer, atol=1e-12)
 
 
 class TestProjection:
@@ -378,6 +357,17 @@ class TestDensityMatrix:
         d = DensityMatrix.from_array(np.diag([1.0, 0.0]))
         back = from_density_matrix(d)
         assert (back.x, back.y, back.z) == (0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("entries", [(1, 0, 0, 0), ("1", "0", "0", "0"), (True, False, False, False)])
+    def test_stores_complex_entries(self, entries: tuple) -> None:
+        d = DensityMatrix(*entries)
+        assert [type(v) for v in (d.d00, d.d01, d.d10, d.d11)] == [complex] * 4
+        assert (d.d00, d.d01, d.d10, d.d11) == (1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("entries", [("a", 0, 0, 0), (None, 0, 0, 1), (0.5, 0, [], 0.5)])
+    def test_rejects_non_numbers(self, entries: tuple) -> None:
+        with pytest.raises(ValidationError):
+            DensityMatrix(*entries)
 
     def test_rejects_non_hermitian(self) -> None:
         with pytest.raises(ValidationError):
