@@ -2,10 +2,10 @@
 
 One tunable parameter, the elastic half-length ``epsilon``, carries the
 model from fully deterministic (``epsilon = 0``) to fully quantum
-(``epsilon = 1``) behavior. The package computes analytic and simulated
-outcome statistics for a single sphere and for two rod-coupled spheres in
-the singlet preparation, and classifies pairs of tests as compatible,
-separated, or classical from their joint statistics.
+(``epsilon = 1``) behavior. The package computes analytic outcome
+statistics for a single sphere, analytic and simulated ones for two
+rod-coupled spheres in the singlet preparation, and classifies pairs of
+tests as compatible, separated, or classical from their joint statistics.
 
 Layering: :mod:`esphere.operational` defines distributions and predicates,
 :mod:`esphere.sphere` the single-sphere mechanics, :mod:`esphere.singlet`
@@ -34,11 +34,9 @@ from .sphere import (
     BlochState,
     DensityMatrix,
     Direction,
-    MeasurementOutcome,
     from_density_matrix,
     outcome_probability,
     projection,
-    sample_measurement,
     to_density_matrix,
 )
 from .singlet import (
@@ -74,7 +72,6 @@ __all__ = [
     "ExperimentTriple",
     "JointOutcomeProb",
     "JointTestSpec",
-    "MeasurementOutcome",
     "OutcomeProb",
     "MeasurementOrder",
     "Tolerance",
@@ -93,7 +90,6 @@ __all__ = [
     "joint_distribution_analytic",
     "outcome_probability",
     "projection",
-    "sample_measurement",
     "scan",
     "simulate",
     "to_density_matrix",

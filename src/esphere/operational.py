@@ -80,11 +80,6 @@ class OutcomeProb:
         store_checked(self, ("p_yes", "p_no"), check_probability)
         check_unit_interval_sum(self.p_yes + self.p_no, "p_yes + p_no")
 
-    @classmethod
-    def from_yes(cls, p_yes: float) -> "OutcomeProb":
-        p_yes = check_probability(p_yes, "p_yes")
-        return cls(p_yes, 1.0 - p_yes)
-
 
 @dataclass(frozen=True, slots=True)
 class JointOutcomeProb:
@@ -122,6 +117,12 @@ class ExperimentTriple:
     left: OutcomeProb
     right: OutcomeProb
     joint: JointOutcomeProb
+
+    def __post_init__(self) -> None:
+        for name, kind in (("left", OutcomeProb), ("right", OutcomeProb), ("joint", JointOutcomeProb)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,11 +24,8 @@ classical; intermediate values interpolate between the two regimes.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .operational import OutcomeProb
 from .validation import (
@@ -40,17 +37,6 @@ from .validation import (
     check_polar_angle,
     store_checked,
 )
-
-
-class MeasurementOutcome(enum.Enum):
-    """The two answers a dichotomic spin test can give."""
-
-    YES = "yes"
-    NO = "no"
-
-    @property
-    def is_yes(self) -> bool:
-        return self is MeasurementOutcome.YES
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,22 +65,10 @@ class Direction:
         st = math.sin(theta)
         return cls(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
-    @classmethod
-    def normalized(cls, x: float, y: float, z: float) -> "Direction":
-        """Rescale an arbitrary nonzero vector onto the unit sphere."""
-        x, y, z = check_finite(x, "x"), check_finite(y, "y"), check_finite(z, "z")
-        norm = math.sqrt(x * x + y * y + z * z)
-        if norm < 1e-12:
-            raise ValidationError("cannot normalize a (near-)zero vector to a direction")
-        return cls(x / norm, y / norm, z / norm)
-
     def dot(self, other: "Direction") -> float:
         d = self.x * other.x + self.y * other.y + self.z * other.z
         # unit vectors: clip floating-point overshoot back into [-1, 1]
         return max(-1.0, min(1.0, d))
-
-    def opposite(self) -> "Direction":
-        return Direction(-self.x, -self.y, -self.z)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,10 +89,6 @@ class BlochState:
         return cls(0.0, 0.0, 0.0)
 
     @classmethod
-    def from_direction(cls, u: Direction) -> "BlochState":
-        return cls(u.x, u.y, u.z)
-
-    @classmethod
     def from_angles(cls, r: float, theta: float, phi: float = 0.0) -> "BlochState":
         """State at radius r in [0, 1] along the (theta, phi) axis."""
         r = check_finite(r, "r")
@@ -131,10 +101,6 @@ class BlochState:
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    @property
-    def is_pure(self) -> bool:
-        return abs(self.norm() - 1.0) <= UNIT_ATOL
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,21 +134,6 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix must be positive semidefinite, got determinant {self.determinant()}"
             )
-
-    @classmethod
-    def from_array(cls, matrix: np.ndarray) -> "DensityMatrix":
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (2, 2):
-            raise ValidationError(f"density matrix must be 2x2, got shape {matrix.shape}")
-        return cls(
-            d00=complex(matrix[0, 0]),
-            d01=complex(matrix[0, 1]),
-            d10=complex(matrix[1, 0]),
-            d11=complex(matrix[1, 1]),
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.d00, self.d01], [self.d10, self.d11]], dtype=complex)
 
     def determinant(self) -> float:
         return (self.d00 * self.d11 - self.d01 * self.d10).real
@@ -225,31 +176,6 @@ def outcome_probability(s: BlochState, u: Direction, epsilon: float) -> OutcomeP
     else:
         p_yes = (epsilon + a) / (2.0 * epsilon)
     return OutcomeProb(p_yes, 1.0 - p_yes)
-
-
-def sample_measurement(
-    s: BlochState, u: Direction, epsilon: float, rng: np.random.Generator
-) -> tuple[MeasurementOutcome, BlochState]:
-    """One trial of the elastic measurement; collapses the state.
-
-    Draws the break point uniformly from ``[-epsilon, epsilon]`` (skipping
-    the draw when the outcome is already certain), answers *yes* exactly
-    when the break point is at or below the projection, and returns the
-    collapsed surface state: ``+u`` on yes, ``-u`` on no. At
-    ``epsilon = 0`` every outcome is certain and follows the sign of the
-    projection, the tie going to *yes*.
-    """
-    epsilon = check_epsilon(epsilon)
-    a = projection(s, u)
-    # At epsilon = 0 every a is certain and this is the tie rule: a >= 0 answers yes.
-    if abs(a) >= epsilon:
-        yes = a >= epsilon
-    else:
-        lam = rng.uniform(-epsilon, epsilon)
-        yes = lam <= a
-    if yes:
-        return (MeasurementOutcome.YES, BlochState.from_direction(u))
-    return (MeasurementOutcome.NO, BlochState.from_direction(u.opposite()))
 
 
 def to_density_matrix(s: BlochState) -> DensityMatrix:

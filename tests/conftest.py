@@ -10,13 +10,37 @@ from hypothesis import strategies as st
 from esphere import Direction, ExperimentTriple, JointOutcomeProb, OutcomeProb
 
 
+# (epsilon, projection a, answer) where the answer is certain: the sign of a
+# at epsilon = +-0 with ties going to yes, and a subnormal band's two edges.
+TIE_RULE_EDGES = [
+    (0.0, -1.0, "no"),
+    (0.0, -5e-324, "no"),
+    (0.0, -0.0, "yes"),
+    (0.0, 0.0, "yes"),
+    (0.0, 5e-324, "yes"),
+    (0.0, 1.0, "yes"),
+    (-0.0, -1.0, "no"),
+    (-0.0, -5e-324, "no"),
+    (-0.0, -0.0, "yes"),
+    (-0.0, 0.0, "yes"),
+    (-0.0, 5e-324, "yes"),
+    (-0.0, 1.0, "yes"),
+    (5e-324, -5e-324, "no"),
+    (5e-324, 5e-324, "yes"),
+]
+
+
 def random_direction(rng: np.random.Generator) -> Direction:
     """Uniform direction on the sphere from a seeded generator."""
     while True:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
+        x, y, z = (float(t) for t in rng.normal(size=3))
+        norm = math.sqrt(x * x + y * y + z * z)
         if norm > 1e-6:
-            return Direction.normalized(float(v[0]), float(v[1]), float(v[2]))
+            return Direction(x / norm, y / norm, z / norm)
+
+
+def opposite(u: Direction) -> Direction:
+    return Direction(-u.x, -u.y, -u.z)
 
 
 def directions() -> st.SearchStrategy[Direction]:
@@ -51,8 +75,8 @@ def eighth_grid_joints(draw: st.DrawFn) -> JointOutcomeProb:
 
 def product_triple(p_left: float, p_right: float) -> ExperimentTriple:
     """Triple whose joint is exactly the product of its marginals."""
-    left = OutcomeProb.from_yes(p_left)
-    right = OutcomeProb.from_yes(p_right)
+    left = OutcomeProb(p_left, 1.0 - p_left)
+    right = OutcomeProb(p_right, 1.0 - p_right)
     return ExperimentTriple(
         left=left,
         right=right,

@@ -336,7 +336,7 @@ def test_criterion_9_density_matrix_checks():
     for s in states:
         r = s.norm()
         d = to_density_matrix(s)
-        arr = d.as_array()
+        arr = np.array([[d.d00, d.d01], [d.d10, d.d11]])
         assert np.allclose(arr, arr.conj().T, atol=1e-15)
         assert abs(np.trace(arr).real - 1.0) <= 1e-15
         assert abs(np.trace(arr).imag) <= 1e-15

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from esphere import (
     CANONICAL_CHSH_ANGLES,
+    DEFAULT_TOLERANCE,
     ChshSetup,
     Direction,
     Tolerance,
@@ -21,7 +22,7 @@ from esphere import (
     scan,
 )
 
-from conftest import directions, epsilons, random_direction
+from conftest import directions, epsilons, opposite, random_direction
 
 X_AXIS = Direction(1.0, 0.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)
@@ -68,12 +69,12 @@ class TestCorrelation:
         u2 = Direction.from_angles(math.pi / 3.0)  # c = 0.5
         pole = Direction.from_angles(0.0)
         assert correlation(pole, u2, 0.5) == -1.0
-        assert correlation(pole, u2.opposite(), 0.5) == 1.0
+        assert correlation(pole, opposite(u2), 0.5) == 1.0
 
     def test_zero_epsilon_signs(self):
         for route in (correlation, correlation_closed_form):
             assert route(Z_AXIS, Z_AXIS, 0.0) == -1.0
-            assert route(Z_AXIS, Z_AXIS.opposite(), 0.0) == 1.0
+            assert route(Z_AXIS, opposite(Z_AXIS), 0.0) == 1.0
             # c = 0 counts as c <= 0: the dragged projection ties at zero and
             # the tie resolves to yes, concentrating the joint on x1.
             assert route(X_AXIS, Z_AXIS, 0.0) == 1.0
@@ -199,6 +200,21 @@ class TestScan:
             assert cols["compatible"][k]
             assert cols["separated"][k] == (cols["theta"][k] == math.pi / 2.0), (cols["epsilon"][k], cols["theta"][k])
 
+    def test_orthogonal_column_is_not_separated_below_c_over_4_tol(self):
+        # cos(fl(pi/2)) is not 0, and the separability residual is
+        # |c| / (4 epsilon), so theta = fl(pi/2) is separated only while
+        # epsilon >= c / (4 tol), about 1.53e-8 at the default tolerance.
+        theta = math.pi / 2.0
+        c = Direction.from_angles(0.0).dot(Direction.from_angles(theta))
+        assert c == 6.123233995736766e-17
+        threshold = c / (4.0 * DEFAULT_TOLERANCE.eps_prob)
+        assert 1.5e-8 < threshold < 1.6e-8
+        epsilons = [1.6e-8, threshold * 1.001, threshold * 0.999, 1.5e-8, 1e-9]
+        cols = scan(epsilons, [theta])
+        rows = [classification_row(e, theta, Direction.from_angles(0.0), Direction.from_angles(theta)) for e in epsilons]
+        assert cols["compatible"].tolist() == [row["compatible"] for row in rows] == [True] * 5
+        assert cols["separated"].tolist() == [row["separated"] for row in rows] == [True, True, False, False, False]
+
     def test_zero_epsilon_landscape(self):
         thetas = list(np.linspace(0.0, math.pi, 181))
         cols = scan([0.0], thetas)
@@ -320,7 +336,7 @@ class TestScanColumns:
     def test_classification_row_off_the_plane(self, eps, tol):
         rng = np.random.default_rng(20240819)
         pairs = [(random_direction(rng), random_direction(rng)) for _ in range(20)]
-        pairs += [(X_AXIS, Z_AXIS), (Z_AXIS, Z_AXIS.opposite()), (Direction.from_angles(0.3, 1.0), Direction.from_angles(2.0, 4.0))]
+        pairs += [(X_AXIS, Z_AXIS), (Z_AXIS, opposite(Z_AXIS)), (Direction.from_angles(0.3, 1.0), Direction.from_angles(2.0, 4.0))]
         for u1, u2 in pairs:
             theta = math.acos(u1.dot(u2))
             assert_same_row(classification_row(eps, theta, u1, u2, tol), reference_row(eps, theta, u1, u2, tol))

@@ -36,15 +36,6 @@ def triple(left: OutcomeProb, right: OutcomeProb, *joint: float) -> ExperimentTr
 
 
 class TestOutcomeProb:
-    def test_from_yes_complements(self) -> None:
-        o = OutcomeProb.from_yes(0.3)
-        assert o.p_no == 0.7
-
-    @given(probabilities())
-    def test_from_yes_sums_to_one_exactly(self, p: float) -> None:
-        o = OutcomeProb.from_yes(p)
-        assert o.p_yes + o.p_no == 1.0
-
     @pytest.mark.parametrize("p_yes,p_no", [(-0.1, 1.1), (0.6, 0.6), (1.2, -0.2), (0.5, 0.2)])
     def test_rejects_invalid(self, p_yes: float, p_no: float) -> None:
         with pytest.raises(ValidationError):
@@ -88,6 +79,23 @@ class TestJointOutcomeProb:
     def test_rejects_non_numbers(self, bad) -> None:
         with pytest.raises(ValidationError):
             JointOutcomeProb(bad, 0.25, 0.25, 0.25)
+
+
+class TestExperimentTriple:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (None, None, None),
+            (None, HALF, JointOutcomeProb(0.25, 0.25, 0.25, 0.25)),
+            (HALF, (0.5, 0.5), JointOutcomeProb(0.25, 0.25, 0.25, 0.25)),
+            (HALF, HALF, (0.25, 0.25, 0.25, 0.25)),
+            (HALF, HALF, HALF),
+            (JointOutcomeProb(0.25, 0.25, 0.25, 0.25), HALF, JointOutcomeProb(0.25, 0.25, 0.25, 0.25)),
+        ],
+    )
+    def test_rejects_fields_of_the_wrong_type(self, fields: tuple) -> None:
+        with pytest.raises(ValidationError):
+            ExperimentTriple(*fields)
 
 
 class TestTolerance:
@@ -284,8 +292,8 @@ class TestClassify:
     ) -> None:
         total = sum(weights)
         t = ExperimentTriple(
-            left=OutcomeProb.from_yes(p_left),
-            right=OutcomeProb.from_yes(p_right),
+            left=OutcomeProb(p_left, 1.0 - p_left),
+            right=OutcomeProb(p_right, 1.0 - p_right),
             joint=JointOutcomeProb(*(w / total for w in weights)),
         )
         report = classify(t)

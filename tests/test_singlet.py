@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from esphere import (
     BLOCK_TRIALS,
-    BlochState,
     Direction,
     JointTestSpec,
     MeasurementOrder,
@@ -27,13 +26,12 @@ from esphere import (
     classify,
     experiment_triple,
     joint_distribution_analytic,
-    sample_measurement,
     simulate,
 )
 from esphere import singlet
 from esphere.singlet import _simulate_block, joint_law
 
-from conftest import directions, epsilons, positive_epsilons, random_direction
+from conftest import TIE_RULE_EDGES, directions, epsilons, opposite, positive_epsilons, random_direction
 
 X_AXIS = Direction(1.0, 0.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)
@@ -88,7 +86,7 @@ class TestAnalyticDistribution:
 
     def test_opposite_directions_correlate_perfectly(self) -> None:
         for eps in (0.25, 0.5, 1.0):
-            j = joint_distribution_analytic(Z_AXIS, Z_AXIS.opposite(), eps)
+            j = joint_distribution_analytic(Z_AXIS, opposite(Z_AXIS), eps)
             assert j.as_tuple() == (0.5, 0.0, 0.0, 0.5)
 
     def test_band_boundary_uses_certainty_branch(self) -> None:
@@ -197,7 +195,7 @@ def at_exact_sum_edges(test):
     """Replay c = +-eps and its neighbours at eps in {0, 5e-324, 1}, plus identical and opposite axes."""
     tilted = Direction.from_angles(1.0, 2.0)
     pairs = [(Z_AXIS, axis_at(c), eps) for eps in (0.0, 5e-324, 1.0) for c in edge_cosines(eps)]
-    pairs += [(u1, u2, eps) for u1, u2 in ((tilted, tilted), (tilted, tilted.opposite())) for eps in (0.0, 0.5)]
+    pairs += [(u1, u2, eps) for u1, u2 in ((tilted, tilted), (tilted, opposite(tilted))) for eps in (0.0, 0.5)]
     for u1, u2, eps in pairs:
         test = example(u1, u2, eps)(test)
     return test
@@ -214,18 +212,66 @@ class TestExactSums:
         assert_exact_sums(joint_law(np.array([u1.dot(u2)]), eps)[0].tolist())
 
 
-def reference_trial(spec: JointTestSpec, rng) -> int:
-    """One joint trial from two single-sphere trials: the index 0-3 of its (left, right) cell.
+def reference_side(a: float, eps: float, rng) -> bool:
+    """One side's answer at projection a: yes when the break point lies at or below a.
 
-    The first side measured collapses from its center; the rod drags the
-    partner opposite that eigenstate, where the second side is measured.
+    Where |a| >= eps the answer is certain and nothing is drawn; at eps = 0
+    that is the tie rule, a >= 0 answers yes. Otherwise the break point is
+    drawn uniformly from [-eps, eps].
+    """
+    if abs(a) >= eps:
+        return a >= eps
+    return rng.uniform(-eps, eps) <= a
+
+
+def reference_trial(spec: JointTestSpec, rng) -> int:
+    """One joint trial from two single-side trials: the index 0-3 of its (left, right) cell.
+
+    The first side measured answers from its center; the rod drags the
+    partner opposite the endpoint it landed on, where the second side is measured.
     """
     right_first = spec.order is MeasurementOrder.RIGHT_FIRST
     first_dir, second_dir = (spec.u2, spec.u1) if right_first else (spec.u1, spec.u2)
-    first, post = sample_measurement(BlochState.center(), first_dir, spec.epsilon, rng)
-    second, _ = sample_measurement(BlochState(-post.x, -post.y, -post.z), second_dir, spec.epsilon, rng)
+    first = reference_side(0.0, spec.epsilon, rng)
+    # the partner sits at -first_dir after yes and at +first_dir after no
+    a = first_dir.dot(second_dir)
+    second = reference_side(-a if first else a, spec.epsilon, rng)
     left, right = (second, first) if right_first else (first, second)
-    return 2 * (not left.is_yes) + (not right.is_yes)
+    return 2 * (not left) + (not right)
+
+
+class FixedBreak:
+    """Stand-in random stream whose uniform draw is a constant."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def uniform(self, low: float, high: float) -> float:
+        assert low <= self.value <= high
+        return self.value
+
+
+class Exploding:
+    """Stand-in random stream that fails any draw."""
+
+    def uniform(self, low: float, high: float) -> float:
+        raise AssertionError("no draw expected when the outcome is certain")
+
+
+class TestReferenceSide:
+    def test_certain_regions_skip_the_draw(self) -> None:
+        assert reference_side(1.0, 0.5, Exploding())
+        assert reference_side(0.0, 0.0, Exploding())
+
+    @pytest.mark.parametrize("eps,a,answer", TIE_RULE_EDGES)
+    def test_tie_rule_edges_skip_the_draw(self, eps: float, a: float, answer: str) -> None:
+        assert reference_side(a, eps, Exploding()) is (answer == "yes")
+
+    def test_break_at_projection_point_answers_yes(self) -> None:
+        assert reference_side(0.25, 0.5, FixedBreak(0.25))
+
+    def test_break_above_projection_point_answers_no(self) -> None:
+        assert not reference_side(0.25, 0.5, FixedBreak(0.2500001))
 
 
 class TestRunJointTrial:
@@ -540,6 +586,17 @@ class TestSimulateGolden:
         assert got == counts
         assert freqs.as_tuple() == tuple(k / trials for k in counts)
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-321, 2.2e-308, 0.3, 1.0])
+    def test_uniform_is_the_raw_bit_formula(self, eps: float) -> None:
+        # The pinned counts rest on Generator.uniform being this formula over
+        # PCG64's raw 64-bit words; NEP 19 lets numpy change it, and then this
+        # test fails and names the cause.
+        seq = np.random.SeedSequence(entropy=31, spawn_key=(0,))
+        got = np.random.Generator(np.random.PCG64(seq)).uniform(-eps, eps, 10**5)
+        raw = np.random.PCG64(seq).random_raw(10**5)
+        want = -eps + (2.0 * eps) * ((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 # Upper quantiles of the chi-square law at a false-alarm rate of 1e-6, by
 # degrees of freedom: a correct sampler exceeds them once in a million runs.
@@ -608,7 +665,7 @@ class TestExperimentTriple:
         assert not report.separated
 
     def test_deterministic_limit_nonpositive_overlap_is_separated(self) -> None:
-        for u2 in (X_AXIS, TILTED_MINUS_HALF, Z_AXIS.opposite()):
+        for u2 in (X_AXIS, TILTED_MINUS_HALF, opposite(Z_AXIS)):
             report = classify(experiment_triple(Z_AXIS, u2, 0.0))
             assert report.compatible
             assert report.separated

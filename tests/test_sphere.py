@@ -13,58 +13,18 @@ from esphere import (
     BlochState,
     DensityMatrix,
     Direction,
-    MeasurementOutcome,
     ValidationError,
     from_density_matrix,
     is_classical_test,
     outcome_probability,
     projection,
-    sample_measurement,
     to_density_matrix,
 )
 
-from conftest import directions, epsilons, positive_epsilons
+from conftest import TIE_RULE_EDGES, directions, epsilons, opposite, positive_epsilons
 
 X_AXIS = Direction(1.0, 0.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)
-
-
-class FixedBreak:
-    """Stand-in random stream whose uniform draw is a constant."""
-
-    def __init__(self, value: float) -> None:
-        self.value = value
-
-    def uniform(self, low: float, high: float) -> float:
-        assert low <= self.value <= high
-        return self.value
-
-
-class Exploding:
-    """Stand-in random stream that fails any draw."""
-
-    def uniform(self, low: float, high: float) -> float:
-        raise AssertionError("no draw expected when the outcome is certain")
-
-
-# (epsilon, projection a, answer) where the answer is certain: the sign of a
-# at epsilon = +-0 with ties going to yes, and a subnormal band's two edges.
-TIE_RULE_EDGES = [
-    (0.0, -1.0, "no"),
-    (0.0, -5e-324, "no"),
-    (0.0, -0.0, "yes"),
-    (0.0, 0.0, "yes"),
-    (0.0, 5e-324, "yes"),
-    (0.0, 1.0, "yes"),
-    (-0.0, -1.0, "no"),
-    (-0.0, -5e-324, "no"),
-    (-0.0, -0.0, "yes"),
-    (-0.0, 0.0, "yes"),
-    (-0.0, 5e-324, "yes"),
-    (-0.0, 1.0, "yes"),
-    (5e-324, -5e-324, "no"),
-    (5e-324, 5e-324, "yes"),
-]
 
 
 def projecting_to(a: float) -> BlochState:
@@ -73,6 +33,10 @@ def projecting_to(a: float) -> BlochState:
     landed = projection(s, X_AXIS)
     assert landed == a and math.copysign(1.0, landed) == math.copysign(1.0, a)
     return s
+
+
+def as_array(d: DensityMatrix) -> np.ndarray:
+    return np.array([[d.d00, d.d01], [d.d10, d.d11]])
 
 
 def ball_states() -> st.SearchStrategy[BlochState]:
@@ -100,11 +64,7 @@ class TestDirection:
     def test_self_dot_clips_to_one(self, u: Direction) -> None:
         assert u.dot(u) <= 1.0
         assert u.dot(u) == pytest.approx(1.0, abs=1e-12)
-        assert u.dot(u.opposite()) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_normalized_rescales(self) -> None:
-        u = Direction.normalized(3.0, 0.0, 4.0)
-        assert (u.x, u.z) == (0.6, 0.8)
+        assert u.dot(opposite(u)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_rejects_non_unit(self) -> None:
         with pytest.raises(ValidationError):
@@ -121,18 +81,6 @@ class TestDirection:
         with pytest.raises(ValidationError):
             Direction(0.0, 0.0, bad)
 
-    def test_normalized_accepts_numeric_strings(self) -> None:
-        assert Direction.normalized("3", "0", "4") == Direction.normalized(3.0, 0.0, 4.0)
-
-    @pytest.mark.parametrize("bad", ["abc", None])
-    def test_normalized_rejects_non_numbers(self, bad) -> None:
-        with pytest.raises(ValidationError):
-            Direction.normalized(0.0, 0.0, bad)
-
-    def test_rejects_zero_normalization(self) -> None:
-        with pytest.raises(ValidationError):
-            Direction.normalized(0.0, 0.0, 0.0)
-
     @pytest.mark.parametrize("theta,phi", [(-0.1, 0.0), (math.pi + 0.1, 0.0), (0.0, -0.1), (0.0, 2.0 * math.pi)])
     def test_rejects_out_of_range_angles(self, theta: float, phi: float) -> None:
         with pytest.raises(ValidationError):
@@ -142,14 +90,10 @@ class TestDirection:
 class TestBlochState:
     def test_center_has_zero_norm(self) -> None:
         assert BlochState.center().norm() == 0.0
-        assert not BlochState.center().is_pure
 
     @given(ball_states())
     def test_from_angles_stays_in_ball(self, s: BlochState) -> None:
         assert s.norm() <= 1.0 + 1e-12
-
-    def test_surface_point_is_pure(self) -> None:
-        assert BlochState.from_direction(Z_AXIS).is_pure
 
     @pytest.mark.parametrize("xyz", [("0", "0", "0.5"), (False, False, True), (0, 0, 1)])
     def test_stores_float_fields(self, xyz: tuple) -> None:
@@ -174,7 +118,7 @@ class TestProjection:
         assert projection(BlochState.center(), Z_AXIS) == 0.0
 
     def test_aligned_pure_state_projects_to_one(self) -> None:
-        assert projection(BlochState.from_direction(Z_AXIS), Z_AXIS) == 1.0
+        assert projection(BlochState(0.0, 0.0, 1.0), Z_AXIS) == 1.0
 
     @given(st.floats(min_value=0.0, max_value=math.pi))
     def test_surface_point_projects_to_cosine(self, theta_up: float) -> None:
@@ -208,9 +152,9 @@ class TestOutcomeProbability:
         assert probs.p_yes == pytest.approx(0.75, abs=1e-12)
 
     def test_certainty_outside_the_band(self) -> None:
-        up = BlochState.from_direction(Z_AXIS)
+        up = BlochState(0.0, 0.0, 1.0)
         assert outcome_probability(up, Z_AXIS, 0.3).p_yes == 1.0
-        down = BlochState.from_direction(Z_AXIS.opposite())
+        down = BlochState(0.0, 0.0, -1.0)
         assert outcome_probability(down, Z_AXIS, 0.3).p_yes == 0.0
 
     def test_band_edges_are_certain(self) -> None:
@@ -256,76 +200,19 @@ class TestOutcomeProbability:
             outcome_probability(BlochState.center(), Z_AXIS, 1.5)
 
 
-class TestSampleMeasurement:
-    def test_certain_regions_skip_the_draw(self) -> None:
-        up = BlochState.from_direction(Z_AXIS)
-        outcome, post = sample_measurement(up, Z_AXIS, 0.5, Exploding())
-        assert outcome is MeasurementOutcome.YES
-        assert post == up
-        outcome, post = sample_measurement(BlochState.center(), Z_AXIS, 0.0, Exploding())
-        assert outcome is MeasurementOutcome.YES
-
-    @pytest.mark.parametrize("eps,a,answer", TIE_RULE_EDGES)
-    def test_tie_rule_edges_skip_the_draw(self, eps: float, a: float, answer: str) -> None:
-        outcome, post = sample_measurement(projecting_to(a), X_AXIS, eps, Exploding())
-        assert outcome is MeasurementOutcome(answer)
-        axis = X_AXIS if answer == "yes" else X_AXIS.opposite()
-        assert post == BlochState.from_direction(axis)
-
-    def test_break_at_projection_point_answers_yes(self) -> None:
-        s = BlochState(0.25, 0.0, 0.0)
-        outcome, post = sample_measurement(s, X_AXIS, 0.5, FixedBreak(0.25))
-        assert outcome is MeasurementOutcome.YES
-        assert post == BlochState.from_direction(X_AXIS)
-
-    def test_break_above_projection_point_answers_no(self) -> None:
-        s = BlochState(0.25, 0.0, 0.0)
-        outcome, post = sample_measurement(s, X_AXIS, 0.5, FixedBreak(0.2500001))
-        assert outcome is MeasurementOutcome.NO
-        assert post == BlochState.from_direction(X_AXIS.opposite())
-
-    def test_collapse_targets_are_the_axis_endpoints(self) -> None:
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            outcome, post = sample_measurement(BlochState.center(), Z_AXIS, 0.7, rng)
-            if outcome is MeasurementOutcome.YES:
-                assert (post.x, post.y, post.z) == (0.0, 0.0, 1.0)
-            else:
-                assert (post.x, post.y, post.z) == (0.0, 0.0, -1.0)
-
-    @pytest.mark.parametrize(
-        "state,eps",
-        [
-            (BlochState.center(), 0.7),
-            (BlochState(0.25, 0.0, 0.0), 0.5),
-            (BlochState.from_angles(1.0, 2.0, 1.0), 1.0),
-        ],
-    )
-    def test_empirical_frequency_matches_analytic_law(self, state: BlochState, eps: float) -> None:
-        trials = 100_000
-        rng = np.random.default_rng(2024)
-        yes = sum(
-            sample_measurement(state, X_AXIS, eps, rng)[0] is MeasurementOutcome.YES
-            for _ in range(trials)
-        )
-        p = outcome_probability(state, X_AXIS, eps).p_yes
-        bound = 4.0 * math.sqrt(p * (1.0 - p) / trials)
-        assert abs(yes / trials - p) <= bound
-
-
 class TestDensityMatrix:
     def test_center_maps_to_half_identity(self) -> None:
         d = to_density_matrix(BlochState.center())
-        assert np.allclose(d.as_array(), 0.5 * np.eye(2), atol=0.0)
+        assert np.allclose(as_array(d), 0.5 * np.eye(2), atol=0.0)
 
     def test_north_pole_maps_to_projector(self) -> None:
         d = to_density_matrix(BlochState.from_angles(1.0, 0.0, 0.0))
-        assert np.allclose(d.as_array(), np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(as_array(d), np.diag([1.0, 0.0]), atol=1e-15)
 
     @given(ball_states())
     def test_structure_and_spectrum(self, s: BlochState) -> None:
         d = to_density_matrix(s)
-        matrix = d.as_array()
+        matrix = as_array(d)
         assert np.allclose(matrix, matrix.conj().T, atol=1e-12)
         assert abs(np.trace(matrix).real - 1.0) <= 1e-12
         r = s.norm()
@@ -337,9 +224,9 @@ class TestDensityMatrix:
         assert abs(own_high - high) <= 1e-10
 
     def test_idempotent_exactly_for_pure_states(self) -> None:
-        pure = to_density_matrix(BlochState.from_angles(1.0, 1.1, 2.2)).as_array()
+        pure = as_array(to_density_matrix(BlochState.from_angles(1.0, 1.1, 2.2)))
         assert np.max(np.abs(pure @ pure - pure)) <= 1e-10
-        mixed = to_density_matrix(BlochState.from_angles(0.5, 1.1, 2.2)).as_array()
+        mixed = as_array(to_density_matrix(BlochState.from_angles(0.5, 1.1, 2.2)))
         assert np.max(np.abs(mixed @ mixed - mixed)) > 1e-3
 
     @given(ball_states())
@@ -350,11 +237,11 @@ class TestDensityMatrix:
         assert abs(back.z - s.z) <= 1e-10
 
     def test_half_identity_round_trips_to_center(self) -> None:
-        d = DensityMatrix.from_array(0.5 * np.eye(2))
+        d = DensityMatrix(0.5, 0.0, 0.0, 0.5)
         assert from_density_matrix(d) == BlochState.center()
 
     def test_diag_projector_round_trips_to_north_pole(self) -> None:
-        d = DensityMatrix.from_array(np.diag([1.0, 0.0]))
+        d = DensityMatrix(1.0, 0.0, 0.0, 0.0)
         back = from_density_matrix(d)
         assert (back.x, back.y, back.z) == (0.0, 0.0, 1.0)
 
@@ -371,16 +258,12 @@ class TestDensityMatrix:
 
     def test_rejects_non_hermitian(self) -> None:
         with pytest.raises(ValidationError):
-            DensityMatrix.from_array(np.array([[0.5, 0.3], [0.1, 0.5]]))
+            DensityMatrix(0.5, 0.3, 0.1, 0.5)
 
     def test_rejects_wrong_trace(self) -> None:
         with pytest.raises(ValidationError):
-            DensityMatrix.from_array(np.array([[0.7, 0.0], [0.0, 0.5]]))
+            DensityMatrix(0.7, 0.0, 0.0, 0.5)
 
     def test_rejects_indefinite_matrix(self) -> None:
         with pytest.raises(ValidationError):
-            DensityMatrix.from_array(np.diag([1.5, -0.5]))
-
-    def test_rejects_wrong_shape(self) -> None:
-        with pytest.raises(ValidationError):
-            DensityMatrix.from_array(np.eye(3))
+            DensityMatrix(1.5, 0.0, 0.0, -0.5)
