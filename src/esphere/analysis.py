@@ -25,8 +25,8 @@ import numpy as np
 
 from .operational import DEFAULT_TOLERANCE, Tolerance, _eps, _verdicts
 from .singlet import joint_distribution_analytic, joint_law
-from .sphere import BlochState, Direction, outcome_probability
-from .validation import ValidationError, check_epsilon, check_polar_angle
+from .sphere import Direction, _p_yes
+from .validation import ValidationError, check_epsilon, check_grid_size, check_polar_angle
 
 # Coplanar polar angles (left pair, right pair) realizing both extremes of
 # the CHSH law: 2*sqrt(2) at epsilon = 1 and 4 at epsilon = 0.
@@ -116,10 +116,8 @@ def _landscape(
     """The columns :func:`scan` returns, for directions with u1 . u2 = ``c[k]`` at relative angle ``thetas[k]``."""
     # The center state projects to 0 on every axis, so each side measured
     # alone has the same law for every direction.
-    pole = Direction.from_angles(0.0)
-    alone = [outcome_probability(BlochState.center(), pole, e) for e in epsilons]
-    yes = np.array([m.p_yes for m in alone], dtype=np.float64)[:, None]
-    no = np.array([m.p_no for m in alone], dtype=np.float64)[:, None]
+    yes = np.array([_p_yes(0.0, e) for e in epsilons], dtype=np.float64)[:, None]
+    no = 1.0 - yes
     c = np.array(c, dtype=np.float64)
     joint = np.empty((len(epsilons), len(c), 4))
     for i, eps in enumerate(epsilons):
@@ -149,7 +147,8 @@ def classification_row(
     ``theta`` is the relative angle of u1 and u2, recorded as given, and
     the values are plain Python floats and bools.
     """
-    cols = _landscape([epsilon], [check_polar_angle(theta)], [u1.dot(u2)], tol)
+    theta = check_polar_angle(theta)
+    cols = _landscape([check_epsilon(epsilon)], [theta], [u1.dot(u2)], tol)
     return {key: column.item() for key, column in cols.items()}
 
 
@@ -167,6 +166,7 @@ def scan(
     entry equals, bit for bit, what :func:`~esphere.singlet.experiment_triple`
     and :func:`~esphere.operational.classify` give for that point.
     """
+    check_grid_size(len(epsilons), len(thetas))
     epsilons = [check_epsilon(e) for e in epsilons]
     thetas = [check_polar_angle(t) for t in thetas]
     pole = Direction.from_angles(0.0)

@@ -199,7 +199,6 @@ def cmd_scan(args: argparse.Namespace) -> Columns:
         thetas = _parse_float_list(args.thetas, "--thetas")
         if not thetas:
             raise ValidationError("--thetas must name at least one value")
-        check_grid_size(len(epsilons), len(thetas))
     else:
         if args.theta_points < 1:
             raise ValidationError(f"--theta-points must be >= 1, got {args.theta_points}")

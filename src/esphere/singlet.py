@@ -8,13 +8,18 @@ eigenstate and then disengages; the second side is measured as an ordinary
 single sphere. Outcomes are recorded in (left, right) order regardless of
 which side went first.
 
-Averaging the elastic breaks gives a closed-form joint distribution that
-depends only on c = u1 . u2 and epsilon. For epsilon > 0 and |c| < epsilon:
+The joint distribution is therefore read from the single-sphere law
+p_yes(a, epsilon) of :mod:`esphere.sphere` and depends only on
+c = u1 . u2 and epsilon. The first side, at the center, answers yes with
+probability 1/2 for epsilon > 0; the dragged side then sits at projection
+-c relative to its axis on the yes branch (and +c on the no branch), so
 
-    p1 = p4 = (epsilon - c) / (4 epsilon)
-    p2 = p3 = (epsilon + c) / (4 epsilon)
+    p1 = p4 = 1/2 p_yes(-c, epsilon)
+    p2 = p3 = 1/2 - p1
 
-clamping to (0, 1/2, 1/2, 0) for c >= epsilon and (1/2, 0, 0, 1/2) for
+with p1 rounded onto the 2^-53 grid so every partial sum is exact. For
+|c| < epsilon this is p1 = (epsilon - c) / (4 epsilon); it clamps to
+(0, 1/2, 1/2, 0) for c >= epsilon and (1/2, 0, 0, 1/2) for
 c <= -epsilon. At epsilon = 1 this is the quantum singlet table
 (sin^2, cos^2 of the half-angle); at epsilon = 0 nothing is random and a
 single outcome is certain. The joint distribution does not depend on the
@@ -27,13 +32,12 @@ from __future__ import annotations
 
 import enum
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operational import ExperimentTriple, JointOutcomeProb
-from .sphere import BlochState, Direction, outcome_probability
+from .operational import ExperimentTriple, JointOutcomeProb, OutcomeProb
+from .sphere import Direction, _p_yes
 from .validation import ValidationError, check_epsilon, check_seed, check_trials
 
 # Trials per deterministic simulation block: blocks own independent random
@@ -81,20 +85,18 @@ def joint_distribution_analytic(u1: Direction, u2: Direction, epsilon: float) ->
     convention.
     """
     epsilon = check_epsilon(epsilon)
-    c = u1.dot(u2)
+    return JointOutcomeProb(*_cells(_p_yes(-u1.dot(u2), epsilon), epsilon))
+
+
+def _cells(y, epsilon: float):
+    """(p1, p2, p3, p4) from y = p_yes(-c, epsilon), on floats or numpy arrays alike."""
     if epsilon == 0.0:
-        if c > 0.0:
-            return JointOutcomeProb(0.0, 1.0, 0.0, 0.0)
-        return JointOutcomeProb(1.0, 0.0, 0.0, 0.0)
-    if c >= epsilon:
-        return JointOutcomeProb(0.0, 0.5, 0.5, 0.0)
-    if c <= -epsilon:
-        return JointOutcomeProb(0.5, 0.0, 0.0, 0.5)
-    anti = (epsilon - c) / (2.0 * epsilon)
+        # the first side answers yes on the tie; y says whether the second does too
+        return (y, 1.0 - y, 0.0 * y, 0.0 * y)
     # Round onto the 2^-53 grid (the ulp of [0.5, 1)) so every sum is exact.
-    p_same = (0.5 + 0.5 * anti) - 0.5
+    p_same = (0.5 + 0.5 * y) - 0.5
     p_diff = 0.5 - p_same
-    return JointOutcomeProb(p_same, p_diff, p_diff, p_same)
+    return (p_same, p_diff, p_diff, p_same)
 
 
 def joint_law(c: np.ndarray, epsilon: float) -> np.ndarray:
@@ -106,20 +108,12 @@ def joint_law(c: np.ndarray, epsilon: float) -> np.ndarray:
     batches; a single point is cheaper through the scalar law.
     """
     epsilon = check_epsilon(epsilon)
-    c = np.asarray(c, dtype=np.float64)
-    if epsilon == 0.0:
-        p1 = np.where(c > 0.0, 0.0, 1.0)
-        zero = np.zeros_like(p1)
-        return np.stack([p1, 1.0 - p1, zero, zero], axis=-1)
-    # At subnormal epsilon the division overflows where |c| >= epsilon; the clamps discard those cells.
-    with np.errstate(over="ignore"):
-        anti = (epsilon - c) / (2.0 * epsilon)
-        p_same = (0.5 + 0.5 * anti) - 0.5
-        p_diff = 0.5 - p_same
-    above, below = c >= epsilon, c <= -epsilon
-    p_same = np.where(above, 0.0, np.where(below, 0.5, p_same))
-    p_diff = np.where(above, 0.5, np.where(below, 0.0, p_diff))
-    return np.stack([p_same, p_diff, p_diff, p_same], axis=-1)
+    a = -np.asarray(c, dtype=np.float64)
+    # The band formula is evaluated everywhere; where it divides by zero
+    # (epsilon = 0) or overflows (subnormal epsilon), the clamps discard it.
+    with np.errstate(all="ignore"):
+        y = np.where(a >= epsilon, 1.0, np.where(a <= -epsilon, 0.0, (epsilon + a) / (2.0 * epsilon)))
+    return np.stack(_cells(y, epsilon), axis=-1)
 
 
 def _simulate_block(c: float, epsilon: float, n: int, block: int, seed: int) -> np.ndarray:
@@ -150,45 +144,20 @@ def _available_cpus() -> int:
 
 
 def _run_blocks(c: float, epsilon: float, trials: int, seed: int) -> list[int]:
-    """Counts summed over every block of a simulation, one thread per available CPU at most.
+    """Counts summed in block order over every block of a simulation.
 
-    The calling thread is one of the workers. Each takes the lowest block no
-    one has claimed until none is left; every helper is started and joined
-    here. Once a block raises, no new block starts, and the error of the
-    lowest failing block is raised after all threads are joined.
+    Blocks run on a ThreadPoolExecutor with at most one thread per
+    available CPU, all joined before this returns. The error of the lowest
+    failing block is raised, and blocks not yet started are cancelled.
     """
+    # imported here so that importing the package and one-block runs skip its cost
+    from concurrent.futures import ThreadPoolExecutor
+
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
-    workers = min(len(sizes), _available_cpus())
-    results: list = [None] * len(sizes)
-    errors: dict[int, BaseException] = {}
-    pending = list(range(len(sizes)))[::-1]
-
-    def work() -> None:
-        while True:
-            try:
-                block = pending.pop()
-            except IndexError:
-                return
-            try:
-                results[block] = _simulate_block(c, epsilon, sizes[block], block, seed)
-            except BaseException as exc:
-                errors[block] = exc
-                pending.clear()
-
-    helpers = []
-    try:
-        for _ in range(workers - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
-    finally:
-        pending.clear()
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return sum(results).tolist()
+    n = len(sizes)
+    with ThreadPoolExecutor(min(n, _available_cpus())) as pool:
+        counts = sum(pool.map(_simulate_block, [c] * n, [epsilon] * n, sizes, range(n), [seed] * n))
+    return counts.tolist()
 
 
 def _relabel(cells: tuple | list, order: MeasurementOrder) -> tuple:
@@ -205,8 +174,8 @@ def simulate(
 
     Trials are partitioned into fixed-size blocks; block b draws from a
     stream derived from (seed, b) alone, and counts are summed in block
-    order. Two or more blocks run on up to one thread per CPU available
-    to the process, the calling thread included; no thread outlives the
+    order. Two or more blocks run on a ThreadPoolExecutor with at most
+    one thread per CPU available to the process; no thread outlives the
     call, and a single block starts none. The result therefore depends
     only on (spec, trials, seed), never on scheduling or thread count.
     Returns the empirical distribution and the raw outcome counts
@@ -249,9 +218,7 @@ def experiment_triple(u1: Direction, u2: Direction, epsilon: float) -> Experimen
     joint experiment incompatible with them whenever c > 0.
     """
     epsilon = check_epsilon(epsilon)
-    center = BlochState.center()
-    return ExperimentTriple(
-        left=outcome_probability(center, u1, epsilon),
-        right=outcome_probability(center, u2, epsilon),
-        joint=joint_distribution_analytic(u1, u2, epsilon),
-    )
+    # the center projects to 0 on every axis
+    p_yes = _p_yes(0.0, epsilon)
+    alone = OutcomeProb(p_yes, 1.0 - p_yes)
+    return ExperimentTriple(left=alone, right=alone, joint=joint_distribution_analytic(u1, u2, epsilon))

@@ -167,15 +167,18 @@ def outcome_probability(s: BlochState, u: Direction, epsilon: float) -> OutcomeP
     the tie goes to *yes*: the outcome is the sign of ``a``.
     """
     epsilon = check_epsilon(epsilon)
-    a = projection(s, u)
+    p_yes = _p_yes(projection(s, u), epsilon)
+    return OutcomeProb(p_yes, 1.0 - p_yes)
+
+
+def _p_yes(a: float, epsilon: float) -> float:
+    """p_yes of the elastic at projection ``a``, for an epsilon already checked."""
     # At epsilon = 0 this first clamp is the tie rule: a >= 0 answers yes.
     if a >= epsilon:
-        p_yes = 1.0
-    elif a <= -epsilon:
-        p_yes = 0.0
-    else:
-        p_yes = (epsilon + a) / (2.0 * epsilon)
-    return OutcomeProb(p_yes, 1.0 - p_yes)
+        return 1.0
+    if a <= -epsilon:
+        return 0.0
+    return (epsilon + a) / (2.0 * epsilon)
 
 
 def to_density_matrix(s: BlochState) -> DensityMatrix:

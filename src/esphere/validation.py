@@ -1,8 +1,13 @@
 """Input validation shared by all model layers.
 
-Every public constructor and operation in this package rejects malformed
-input by raising :class:`ValidationError`. Numerical checks use absolute
-tolerances; the defaults are meant for analytically computed inputs.
+Numbers, strings and enum values given to the package are checked, and
+a malformed one raises :class:`ValidationError`. Constructors also check
+the types of their model fields. Operations take the package's model
+objects (directions, states, specs, triples) as given: passing some other
+object raises whatever error its use raises, often ``AttributeError``,
+which keeps the per-call checks off the point-call paths. Numerical
+checks use absolute tolerances; the defaults are meant for analytically
+computed inputs.
 """
 
 from __future__ import annotations

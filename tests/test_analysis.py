@@ -21,6 +21,7 @@ from esphere import (
     experiment_triple,
     scan,
 )
+from esphere import validation
 
 from conftest import directions, epsilons, opposite, random_direction
 
@@ -251,6 +252,16 @@ class TestScan:
         with pytest.raises(ValidationError):
             scan([1.0], [math.nan])
 
+    def test_refuses_a_grid_above_the_cap(self):
+        with pytest.raises(ValidationError, match="scan grid of 1001000 points exceeds the limit of 1000000"):
+            scan([0.5] * 1001, [0.0] * 1000)
+
+    def test_accepts_a_grid_at_the_cap_and_refuses_one_above(self, monkeypatch):
+        monkeypatch.setattr(validation, "MAX_GRID_POINTS", 6)
+        assert len(scan([0.5, 1.0], [0.0, 1.0, 2.0])["epsilon"]) == 6
+        with pytest.raises(ValidationError, match="exceeds the limit of 6"):
+            scan([0.5, 1.0], [0.0, 1.0, 2.0, 3.0])
+
 
 SCHEMA = ["epsilon", "theta", "p1", "p2", "p3", "p4", "E", "compatible", "separated", "classical_joint"]
 
@@ -345,6 +356,11 @@ class TestScanColumns:
     def test_classification_row_rejects_bad_theta(self, theta):
         with pytest.raises(ValidationError):
             classification_row(0.5, theta, Z_AXIS, X_AXIS)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, "x", -0.1, 1.5])
+    def test_classification_row_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValidationError):
+            classification_row(epsilon, 0.5, Z_AXIS, X_AXIS)
 
     def test_edge_thetas_reach_c_equal_to_plus_and_minus_epsilon(self):
         pole = Direction.from_angles(0.0)

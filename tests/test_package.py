@@ -59,6 +59,31 @@ def test_model_modules_import_no_numpy(module):
     assert "numpy" not in imported
 
 
+def _local_imports(node: ast.AST, scope: str = "") -> set[tuple[str, str]]:
+    """(enclosing function or class, imported module) for every import below module level."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if isinstance(child, ast.Import) and scope:
+            found |= {(scope, alias.name) for alias in child.names}
+        elif isinstance(child, ast.ImportFrom) and scope:
+            found.add((scope, "." * child.level + (child.module or "")))
+        found |= _local_imports(child, inner)
+    return found
+
+
+def test_the_only_function_level_import_is_the_thread_pool():
+    # a local import on a point-call path would add its lookup to every call
+    found = {
+        (f"{path.stem}.{scope}", module)
+        for path in sorted((ROOT / "src" / "esphere").glob("*.py"))
+        for scope, module in _local_imports(ast.parse(path.read_text()))
+    }
+    assert found == {("singlet._run_blocks", "concurrent.futures")}
+
+
 def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     # The project's warning filters must let hypothesis explain a failing
     # example without turning a third-party import warning into an error.

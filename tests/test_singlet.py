@@ -503,6 +503,12 @@ class BlockFailed(Exception):
     pass
 
 
+SIMULATE_IN_CLI = (
+    "import esphere.cli as cli; "
+    "cli.main(['simulate', '--epsilon', '0.6', '--theta', '1.0', '--trials', '{trials}', '--seed', '1'])"
+)
+
+
 class TestThreadHygiene:
     def test_one_block_starts_no_thread(self, monkeypatch: pytest.MonkeyPatch) -> None:
         def refuse(*args, **kwargs):
@@ -521,15 +527,19 @@ class TestThreadHygiene:
         simulate(spec, 5 * BLOCK_TRIALS + 1, 5)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("failing", [{1}, {1, 2}])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_block_error_reaches_the_caller(self, workers: int, monkeypatch: pytest.MonkeyPatch) -> None:
-        def fail_on_block_one(c, epsilon, n, block, seed):
-            if block == 1:
-                raise BlockFailed("block 1")
+    def test_block_error_reaches_the_caller(
+        self, workers: int, failing: set[int], monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # with several failing blocks, the lowest one's error is the one raised
+        def fail_on_blocks(c, epsilon, n, block, seed):
+            if block in failing:
+                raise BlockFailed(f"block {block}")
             return _simulate_block(c, epsilon, n, block, seed)
 
         monkeypatch.setattr(singlet, "_available_cpus", lambda: workers)
-        monkeypatch.setattr(singlet, "_simulate_block", fail_on_block_one)
+        monkeypatch.setattr(singlet, "_simulate_block", fail_on_blocks)
         spec = JointTestSpec(u1=Z_AXIS, u2=axis_at(0.3), epsilon=0.6)
         before = threading.active_count()
         with pytest.raises(BlockFailed, match="block 1"):
@@ -544,6 +554,25 @@ class TestThreadHygiene:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        ("code", "loaded"),
+        [
+            ("import esphere", False),
+            (SIMULATE_IN_CLI.format(trials=10_000), False),
+            # the probe itself sees the module once a run has two blocks
+            (SIMULATE_IN_CLI.format(trials=BLOCK_TRIALS + 1), True),
+        ],
+        ids=["import-esphere", "one-block-simulate", "two-block-simulate"],
+    )
+    def test_package_import_and_one_block_run_leave_out_concurrent_futures(self, code: str, loaded: bool) -> None:
+        src = str(Path(singlet.__file__).resolve().parents[1])
+        probe = f"{code}\nimport sys; print('concurrent.futures' in sys.modules, file=sys.stderr)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stderr.strip() == str(loaded)
 
 
 # The numpy release the pinned counts below were drawn with. NEP 19 lets the
